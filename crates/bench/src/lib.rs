@@ -1,9 +1,10 @@
 //! # repro-bench — the paper's evaluation harness
 //!
-//! One bench target (`harness = false`) per table/figure of the paper;
-//! this library holds the shared experiment runners and table printers.
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record each target regenerates.
+//! Every table/figure of the paper is one [`scenario::Scenario`]; the
+//! `experiments` bench target runs them all (or `--only NAME`). This
+//! library holds the scenario registry, the shared experiment runners
+//! and the table printers. See `EXPERIMENTS.md` at the repository root
+//! for the paper-vs-measured record the runner regenerates.
 
 #![deny(missing_docs)]
 

@@ -1,16 +1,17 @@
 //! Machine-checked reproductions of the paper's figures and tables.
 //!
-//! Every `fig_*`/`table_*` row of `EXPERIMENTS.md` is a [`Scenario`]: a
-//! description of the figure's sweep (machine shape, workload, protocol
-//! set, contention schedule) plus a set of [`Claim`]s encoding the
-//! "Paper says" column as assertable predicates — the checkable-claim
-//! framing of the competitive-analysis literature, where a result like
+//! Every row of `EXPERIMENTS.md` is a [`Scenario`]: a description of
+//! the figure's sweep (machine shape, workload, protocol set,
+//! contention schedule) plus a set of [`Claim`]s encoding the "Paper
+//! says" column as assertable predicates — the checkable-claim framing
+//! of the competitive-analysis literature, where a result like
 //! "3-competitive" is an inequality, not a prose row.
 //!
 //! A scenario runs at two [`Scale`]s:
 //!
-//! * [`Scale::Full`] — the figure reproduction the bench targets print
-//!   (`cargo bench --bench fig_3_15_baseline`), with the paper's sweeps.
+//! * [`Scale::Full`] — the figure reproduction the `experiments` runner
+//!   prints (`cargo bench --bench experiments -- --only
+//!   fig_3_15_baseline` for one row), with the paper's sweeps.
 //! * [`Scale::Quick`] — a scaled-down deterministic variant cheap enough
 //!   for `cargo test -q`; the tier-1 suite
 //!   (`crates/bench/tests/scenario_claims.rs`) checks every claim of
@@ -24,13 +25,14 @@
 //!
 //! The `experiments` bench target runs all scenarios in `EXPERIMENTS.md`
 //! table order and writes `BENCH_experiments.json` (stable keys, stable
-//! order) with the measured headline and claim verdicts per row.
+//! order) with the measured headline and claim verdicts per row, plus
+//! one `BENCH_<family>.json` per [`Family`] with an artifact of its own.
 
 use alewife_sim::CostModel;
 use lock_service::ArenaMode;
 use sim_apps::alg::{FetchOpAlg, LockAlg, WaitAlg};
 use sim_apps::{aq, cgrad, cholesky, countnet, fib, fibheap, gamteb, jacobi, mp3d, mutex_app, tsp};
-use waiting_theory::expected::{worst_case_factor, Family};
+use waiting_theory::expected::{worst_case_factor, Family as WaitDist};
 use waiting_theory::optimal::optimal_alpha;
 use waiting_theory::task_system::{
     worst_case_sequence, AlwaysSwitch, Competitive3, Hysteresis, NeverSwitch, TaskSystem,
@@ -42,7 +44,7 @@ use crate::table;
 /// How big a reproduction to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// The figure-scale sweep printed by the bench targets.
+    /// The figure-scale sweep printed by the `experiments` runner.
     Full,
     /// The scaled-down deterministic variant run by the tier-1 tests.
     Quick,
@@ -354,13 +356,58 @@ pub struct ClaimResult {
     pub detail: String,
 }
 
+/// Which artifact a scenario's row is recorded in. Every row lands in
+/// `BENCH_experiments.json`; the non-[`Paper`](Family::Paper) families
+/// also get a `BENCH_<family>.json` of their own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// Rows recorded only in `BENCH_experiments.json`: the paper's
+    /// figures and tables, plus the beyond-the-paper rows with no
+    /// family artifact.
+    Paper,
+    /// Crash/abort rows (RMR accounting, crash storms).
+    Rmr,
+    /// Virtual-time lock-service rows.
+    Service,
+    /// Lock-service rows on real host threads and a wall clock.
+    ServiceNative,
+}
+
+impl Family {
+    /// Every family, [`Paper`](Family::Paper) first.
+    pub const ALL: [Family; 4] = [
+        Family::Paper,
+        Family::Rmr,
+        Family::Service,
+        Family::ServiceNative,
+    ];
+
+    /// The artifact's `bench` key, also the `family` field of the row
+    /// in `BENCH_experiments.json`.
+    pub fn bench(self) -> &'static str {
+        match self {
+            Family::Paper => "experiments",
+            Family::Rmr => "rmr",
+            Family::Service => "service",
+            Family::ServiceNative => "service_native",
+        }
+    }
+
+    /// The artifact's file name at the repository root.
+    pub fn artifact(self) -> String {
+        format!("BENCH_{}.json", self.bench())
+    }
+}
+
 /// A figure/table reproduction with machine-checkable claims.
 pub struct Scenario {
-    /// Bench-target name; the stable row key of `EXPERIMENTS.md` and
-    /// `BENCH_experiments.json`.
+    /// The stable row key of `EXPERIMENTS.md` and every `BENCH_*.json`
+    /// the row is written to; `--only` selects a row by it.
     pub name: &'static str,
     /// Paper figure/table the row reproduces.
     pub figure: &'static str,
+    /// The artifact family the row belongs to.
+    pub family: Family,
     /// The qualitative result the claims encode.
     pub paper_says: &'static str,
     /// The machine-checkable encoding of `paper_says`.
@@ -394,8 +441,8 @@ impl Scenario {
     }
 
     /// Run, print the measured series/scalars and claim verdicts, and
-    /// return the outcome with its claim results (the bench targets'
-    /// entry point).
+    /// return the outcome with its claim results (the `experiments`
+    /// runner's entry point).
     pub fn report(&self, scale: Scale) -> (Outcome, Vec<ClaimResult>) {
         let o = self.run(scale);
         let results = self.check(&o);
@@ -473,7 +520,7 @@ pub fn all() -> Vec<Scenario> {
     ]
 }
 
-/// Look a scenario up by its bench-target name.
+/// Look a scenario up by its row name.
 ///
 /// # Panics
 /// If no scenario has that name.
@@ -562,6 +609,7 @@ fn fig_3_14() -> Scenario {
     Scenario {
         name: "fig_3_14_policy_bound",
         figure: "Fig. 3.14",
+        family: Family::Paper,
         paper_says: "3-competitive policy's worst case: online cost approaches 3x optimum \
                      on the adversarial sequence",
         claims: &[
@@ -646,6 +694,7 @@ fn fig_3_15() -> Scenario {
     Scenario {
         name: "fig_3_15_baseline",
         figure: "Figs. 1.1/3.2/3.15",
+        family: Family::Paper,
         paper_says: "TTS best <= 4 procs then melts down; MCS flat; combining tree wins at \
                      high contention; reactive tracks the best everywhere",
         claims: &[
@@ -721,6 +770,7 @@ fn fig_3_16() -> Scenario {
     Scenario {
         name: "fig_3_16_hardware",
         figure: "Fig. 3.16",
+        family: Family::Paper,
         paper_says: "Dir_NB full-map directory softens but does not cure TTS meltdown; \
                      limited pointers + software traps worsen it",
         claims: &[
@@ -797,6 +847,7 @@ fn fig_3_17() -> Scenario {
     Scenario {
         name: "fig_3_17_multi_object",
         figure: "Figs. 3.17-3.19",
+        family: Family::Paper,
         paper_says: "with many objects and skewed access, reactive ~= best static \
                      per-object choice",
         claims: &[
@@ -882,6 +933,7 @@ fn fig_3_21() -> Scenario {
     Scenario {
         name: "fig_3_21_time_varying",
         figure: "Fig. 3.21",
+        family: Family::Paper,
         paper_says: "under phase-changing contention the reactive lock re-converges within \
                      a bounded lag",
         claims: &[
@@ -963,6 +1015,7 @@ fn fig_3_22() -> Scenario {
     Scenario {
         name: "fig_3_22_competitive",
         figure: "Fig. 3.22",
+        family: Family::Paper,
         paper_says: "3-competitive policy bounds worst-case cost vs switch-immediately \
                      under oscillating load",
         claims: &[
@@ -1051,6 +1104,7 @@ fn fig_3_23() -> Scenario {
     Scenario {
         name: "fig_3_23_hysteresis",
         figure: "Fig. 3.23",
+        family: Family::Paper,
         paper_says: "hysteresis damps protocol thrashing at switch-boundary contention",
         claims: &[
             // Strong damping: the deep-hysteresis pair never switches on
@@ -1117,6 +1171,7 @@ fn fig_3_24() -> Scenario {
     Scenario {
         name: "fig_3_24_apps_fetchop",
         figure: "Fig. 3.24",
+        family: Family::Paper,
         paper_says: "app throughput with reactive fetch-and-op within a few % of best \
                      static protocol",
         claims: &[Claim::TracksBest {
@@ -1165,6 +1220,7 @@ fn fig_3_25() -> Scenario {
     Scenario {
         name: "fig_3_25_apps_locks",
         figure: "Fig. 3.25",
+        family: Family::Paper,
         paper_says: "app throughput with reactive locks within a few % of best static \
                      protocol",
         claims: &[Claim::TracksBest {
@@ -1254,6 +1310,7 @@ fn fig_3_26() -> Scenario {
     Scenario {
         name: "fig_3_26_message_passing",
         figure: "Fig. 3.26",
+        family: Family::Paper,
         paper_says: "reactive shared-memory <-> message-passing selection tracks the \
                      crossover",
         claims: &[
@@ -1312,6 +1369,7 @@ fn table_4_1() -> Scenario {
     Scenario {
         name: "table_4_1_blocking_cost",
         figure: "Table 4.1",
+        family: Family::Paper,
         paper_says: "blocking ~= 500 cycles split unload ~300 / reenable ~100 / reload ~65",
         claims: &[
             Claim::BoundedRatio {
@@ -1366,9 +1424,9 @@ fn fig_4_4() -> Scenario {
                 .collect();
             o.push(label, pts);
         }
-        let rho_054 = worst_case_factor(Family::Exponential, 0.5413, B);
-        let rho_100 = worst_case_factor(Family::Exponential, 1.0, B);
-        let (a_star, rho_star) = optimal_alpha(Family::Exponential, B);
+        let rho_054 = worst_case_factor(WaitDist::Exponential, 0.5413, B);
+        let rho_100 = worst_case_factor(WaitDist::Exponential, 1.0, B);
+        let (a_star, rho_star) = optimal_alpha(WaitDist::Exponential, B);
         o.scalar("rho_054", rho_054);
         o.scalar("rho_100", rho_100);
         o.scalar("alpha_star", a_star);
@@ -1382,6 +1440,7 @@ fn fig_4_4() -> Scenario {
     Scenario {
         name: "fig_4_4_exponential",
         figure: "Fig. 4.4",
+        family: Family::Paper,
         paper_says: "exponential waits: two-phase with Lpoll = 0.54*B within 1.58x of optimal",
         claims: &[
             Claim::BoundedRatio {
@@ -1431,8 +1490,8 @@ fn fig_4_5() -> Scenario {
                 .collect();
             o.push(label, pts);
         }
-        let rho_062 = worst_case_factor(Family::Uniform, 0.62, B);
-        let (a_star, rho_star) = optimal_alpha(Family::Uniform, B);
+        let rho_062 = worst_case_factor(WaitDist::Uniform, 0.62, B);
+        let (a_star, rho_star) = optimal_alpha(WaitDist::Uniform, B);
         o.scalar("rho_062", rho_062);
         o.scalar("alpha_star", a_star);
         o.scalar("rho_star", rho_star);
@@ -1445,6 +1504,7 @@ fn fig_4_5() -> Scenario {
     Scenario {
         name: "fig_4_5_uniform",
         figure: "Fig. 4.5",
+        family: Family::Paper,
         paper_says: "uniform waits: a* ~= 0.62, 1.62-competitive",
         claims: &[
             Claim::BoundedRatio {
@@ -1518,6 +1578,7 @@ fn fig_4_6() -> Scenario {
     Scenario {
         name: "fig_4_6_wait_profiles",
         figure: "Figs. 4.6-4.11",
+        family: Family::Paper,
         paper_says: "measured waiting-time distributions match the assumed families \
                      (exponential producer-consumer/mutex, uniform barriers)",
         claims: &[
@@ -1609,6 +1670,7 @@ fn fig_4_12() -> Scenario {
     Scenario {
         name: "fig_4_12_producer_consumer",
         figure: "Fig. 4.12",
+        family: Family::Paper,
         paper_says: "two-phase waiting ~= best static poll/block choice for \
                      J-structures/futures",
         claims: &[
@@ -1672,6 +1734,7 @@ fn fig_4_13() -> Scenario {
     Scenario {
         name: "fig_4_13_barriers",
         figure: "Fig. 4.13",
+        family: Family::Paper,
         paper_says: "two-phase waiting competitive at barriers despite uniform waits",
         claims: &[Claim::TracksBest {
             series: "wait/2phase",
@@ -1731,6 +1794,7 @@ fn fig_4_14() -> Scenario {
     Scenario {
         name: "fig_4_14_mutex",
         figure: "Fig. 4.14",
+        family: Family::Paper,
         paper_says: "two-phase waiting competitive for mutexes under varied load",
         claims: &[
             Claim::TracksBest {
@@ -1821,6 +1885,7 @@ fn table_4_6() -> Scenario {
     Scenario {
         name: "table_4_6_lpoll_half",
         figure: "Table 4.6",
+        family: Family::Paper,
         paper_says: "Lpoll = B/2 rule of thumb within a few % of optimal across apps",
         claims: &[Claim::BoundedRatio {
             num: "ratio/halfB_over_B",
@@ -1880,6 +1945,7 @@ fn barrier_reactive() -> Scenario {
     Scenario {
         name: "barrier_reactive",
         figure: "— (beyond the paper)",
+        family: Family::Paper,
         paper_says: "the kernel-built reactive barrier tracks the best static arrival \
                      protocol: central sense-reversing at low P, combining tree at high P",
         claims: &[
@@ -1948,6 +2014,7 @@ fn rmr_recoverable() -> Scenario {
     Scenario {
         name: "rmr_recoverable",
         figure: "— (beyond the paper; Golab–Ramaraju RME bound)",
+        family: Family::Rmr,
         paper_says: "the crash-recoverable mutex costs O(log n) CC-model RMRs per passage \
                      even across crash/recovery schedules, and no passage is lost",
         claims: &[
@@ -2018,6 +2085,7 @@ fn rmr_abortable() -> Scenario {
     Scenario {
         name: "rmr_abortable",
         figure: "— (beyond the paper; O(1)-amortized abortable lock)",
+        family: Family::Rmr,
         paper_says: "the abortable MCS lock costs O(1) amortized RMRs per operation \
                      (passage or abort) in both the CC and DSM cost models",
         claims: &[
@@ -2095,6 +2163,7 @@ fn storm_robustness() -> Scenario {
     Scenario {
         name: "storm_robustness",
         figure: "— (beyond the paper; crash-storm robustness)",
+        family: Family::Rmr,
         paper_says: "under a randomized crash storm the recoverable mutex loses no waiter, \
                      never double-grants, and every node is repaired within a bounded lag \
                      of its outage",
@@ -2173,6 +2242,7 @@ fn service_tail_latency() -> Scenario {
     Scenario {
         name: "service_tail_latency",
         figure: "— (beyond the paper; lock-service tail latency)",
+        family: Family::Service,
         paper_says: "a multi-tenant arena of adaptive objects keeps p999 acquire latency \
                      under the tenant deadline and below static TTS, without shedding load: \
                      reactive switching is what bounds the tail",
@@ -2263,6 +2333,7 @@ fn service_bytes_per_object() -> Scenario {
     Scenario {
         name: "service_bytes_per_object",
         figure: "— (beyond the paper; lock-service memory bound)",
+        family: Family::Service,
         paper_says: "per-object state is memory-bounded: one packed word per object at \
                      rest, journals and instrumentation lazily allocated for hot objects \
                      only, so bytes/object stays flat (≈8, budget 64) as the arena grows \
@@ -2332,6 +2403,7 @@ fn service_stampede() -> Scenario {
     Scenario {
         name: "service_stampede",
         figure: "— (beyond the paper; switch-rate limiting under bursts)",
+        family: Family::Service,
         paper_says: "a per-shard token bucket keeps synchronized switch demand from \
                      stampeding: every window obeys burst + W/period + 1, checked by an \
                      offline oracle that provably rejects the unthrottled control run",
@@ -2407,6 +2479,7 @@ fn service_tracks_best() -> Scenario {
     Scenario {
         name: "service_tracks_best",
         figure: "— (beyond the paper; Fig. 3.15's shape at service scale)",
+        family: Family::Service,
         paper_says: "across contention regimes the adaptive arena stays within 1.5x of \
                      the best static protocol choice, while each static choice loses a \
                      regime (TTS cheap when calm, queue the only survivor when hot)",
@@ -2497,6 +2570,7 @@ fn service_native_tail() -> Scenario {
     Scenario {
         name: "service_native_tail",
         figure: "— (beyond the paper; the service tail row on real threads)",
+        family: Family::ServiceNative,
         paper_says: "the adaptive arena's tail advantage survives the move from virtual \
                      time to real preempted threads: inflating hot objects to FIFO \
                      kernel-backed locks beats a static flat-TTS pin at the \
@@ -2580,6 +2654,7 @@ fn service_native_deflation() -> Scenario {
     Scenario {
         name: "service_native_deflation",
         figure: "— (beyond the paper; lock deflation reclaims the hot set)",
+        family: Family::ServiceNative,
         paper_says: "a durably calm inflated object demotes back to a flat slot word: \
                      the slab entry is reclaimed (footprint shrinks when a hot phase \
                      cools), a later storm re-inflates through the free list without \
@@ -2769,6 +2844,7 @@ fn sim_parallel_scale() -> Scenario {
     Scenario {
         name: "sim_parallel_scale",
         figure: "— (beyond the paper; conservative parallel simulation)",
+        family: Family::Paper,
         paper_says: "sharding the machine into per-tile simulators under a conservative \
                      epoch scheme loses nothing: the threaded execution is bit-identical \
                      to the serial reference, no event ever runs ahead of an undelivered \

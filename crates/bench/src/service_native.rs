@@ -1,8 +1,7 @@
 //! Workload glue for the native lock-service scenarios: canonical
-//! [`NativeRunConfig`]s shared by the `service_native` bench target and
-//! the `service_native_*` rows of `EXPERIMENTS.md`, so
-//! `BENCH_service_native.json` and the CI claim suite measure exactly
-//! the same runs.
+//! [`NativeRunConfig`]s behind the `service_native_*` rows of
+//! `EXPERIMENTS.md`, so `BENCH_service_native.json` and the CI claim
+//! suite measure exactly the same runs.
 //!
 //! Unlike every other scenario family, these rows run *real threads on
 //! the host* — wall-clock time, real preemption, cores-scaled. The

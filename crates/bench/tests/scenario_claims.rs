@@ -32,13 +32,19 @@ fn assert_claims(name: &str) {
     );
 }
 
+/// One `#[test]` per row (so a CI failure names the row), plus
+/// `TESTED`, the same names in order for `registry_matches_test_list`.
 macro_rules! claim_test {
-    ($($name:ident),* $(,)?) => {$(
-        #[test]
-        fn $name() {
-            assert_claims(stringify!($name));
-        }
-    )*};
+    ($($name:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                assert_claims(stringify!($name));
+            }
+        )*
+
+        const TESTED: &[&str] = &[$(stringify!($name)),*];
+    };
 }
 
 claim_test!(
@@ -73,47 +79,16 @@ claim_test!(
     sim_parallel_scale,
 );
 
-/// Every scenario in the registry is covered by a test above (guards
-/// against adding a row without a claim gate).
+/// Every scenario in the registry is covered by a test above, in
+/// registry order (guards against adding a row without a claim gate).
 #[test]
 fn registry_matches_test_list() {
-    let expected = [
-        "fig_3_14_policy_bound",
-        "fig_3_15_baseline",
-        "fig_3_16_hardware",
-        "fig_3_17_multi_object",
-        "fig_3_21_time_varying",
-        "fig_3_22_competitive",
-        "fig_3_23_hysteresis",
-        "fig_3_24_apps_fetchop",
-        "fig_3_25_apps_locks",
-        "fig_3_26_message_passing",
-        "table_4_1_blocking_cost",
-        "fig_4_4_exponential",
-        "fig_4_5_uniform",
-        "fig_4_6_wait_profiles",
-        "fig_4_12_producer_consumer",
-        "fig_4_13_barriers",
-        "fig_4_14_mutex",
-        "table_4_6_lpoll_half",
-        "barrier_reactive",
-        "rmr_recoverable",
-        "rmr_abortable",
-        "storm_robustness",
-        "service_tail_latency",
-        "service_bytes_per_object",
-        "service_stampede",
-        "service_tracks_best",
-        "service_native_tail",
-        "service_native_deflation",
-        "sim_parallel_scale",
-    ];
     let names: Vec<&str> = repro_bench::scenario::all()
         .iter()
         .map(|s| s.name)
         .collect();
     assert_eq!(
-        names, expected,
+        names, TESTED,
         "scenario registry drifted from the test list"
     );
 }

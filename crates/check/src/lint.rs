@@ -18,28 +18,19 @@
 //!   violate the conservative safe-horizon invariant.
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
-//! * `experiments-keys` — scenario keys in `EXPERIMENTS.md` tables and
-//!   row names in `BENCH_experiments.json` must agree (md-only keys
-//!   may be allowlisted: benches that write other artifacts).
-//! * `rmr-keys` — the crash/abort scenario family: every row name in
-//!   `BENCH_rmr.json` must be an `EXPERIMENTS.md` key, and every
-//!   `rmr_*`/`storm_*` key in `EXPERIMENTS.md` must have a
-//!   `BENCH_rmr.json` row (so the artifact the CI uploads cannot
-//!   silently drop a gated scenario).
-//! * `service-keys` — the lock-service scenario family, same contract
-//!   against `BENCH_service.json`: every row name must be an
-//!   `EXPERIMENTS.md` key, and every `service_*` key (except the
-//!   `service_native_*` sub-family below) must have a
-//!   `BENCH_service.json` row.
-//! * `service-native-keys` — the native (real-thread) lock-service
-//!   sub-family, same contract against `BENCH_service_native.json`:
-//!   every row name must be an `EXPERIMENTS.md` key, and every
-//!   `service_native_*` key must have a `BENCH_service_native.json`
-//!   row.
+//! * `bench-keys` — the scenario runner's artifacts stay in sync with
+//!   `EXPERIMENTS.md`: every row name in `BENCH_experiments.json` and
+//!   the family files (`BENCH_rmr.json`, `BENCH_service.json`,
+//!   `BENCH_service_native.json`) is an `EXPERIMENTS.md` key; every
+//!   `EXPERIMENTS.md` key has a `BENCH_experiments.json` row (md-only
+//!   keys may be allowlisted: benches that write other artifacts); and
+//!   each family file holds exactly the `BENCH_experiments.json` rows
+//!   tagged with that `family` — so a stale or
+//!   hand-edited family file cannot silently drop or add a gated row.
 //!
 //! The allowlist is `crates/check/lint_allow.txt`: `<rule> <key>` per
 //! line, `#` comments. Keys are workspace-relative paths for the file
-//! rules, scenario keys for `experiments-keys`.
+//! rules, scenario keys for `bench-keys`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -166,10 +157,7 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
             event_size_rule(&rel, &text, &mut findings);
         }
     }
-    experiments_keys_rule(root, &allow, &mut findings)?;
-    rmr_keys_rule(root, &allow, &mut findings)?;
-    service_keys_rule(root, &allow, &mut findings)?;
-    service_native_keys_rule(root, &allow, &mut findings)?;
+    bench_keys_rule(root, &allow, &mut findings)?;
     Ok(findings)
 }
 
@@ -368,183 +356,117 @@ fn experiment_md_keys(text: &str) -> BTreeSet<String> {
     keys
 }
 
-/// `"name": "<key>"` values from `BENCH_experiments.json` (hand parse:
-/// the workspace has no JSON dependency, and the format is ours).
-fn experiment_json_keys(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\"") {
-        rest = &rest[pos + "\"name\"".len()..];
-        let Some(colon) = rest.find(':') else { break };
-        let tail = rest[colon + 1..].trim_start();
-        if let Some(val) = tail.strip_prefix('"') {
-            if let Some((key, _)) = val.split_once('"') {
-                keys.insert(key.to_string());
+/// The scenario runner's artifacts, `BENCH_<bench>.json`: the all-rows
+/// file first, then the family files, each named by the `family` tag
+/// its rows carry in the all-rows file.
+const BENCH_FILES: [&str; 4] = ["experiments", "rmr", "service", "service_native"];
+
+/// `(name, family)` of each row of a runner artifact, in file order
+/// (hand parse: the workspace has no JSON dependency, and the format is
+/// ours). Only `BENCH_experiments.json` rows carry a `family`.
+fn bench_rows(text: &str) -> Vec<(String, Option<String>)> {
+    text.split("\"name\"")
+        .skip(1)
+        .filter_map(|row| {
+            let name = string_value(row)?;
+            let family = row
+                .split_once("\"family\"")
+                .and_then(|(_, rest)| string_value(rest));
+            Some((name, family))
+        })
+        .collect()
+}
+
+/// The string value of a key whose `: "value"` starts `rest`.
+fn string_value(rest: &str) -> Option<String> {
+    let tail = rest.trim_start().strip_prefix(':')?.trim_start();
+    let (value, _) = tail.strip_prefix('"')?.split_once('"')?;
+    Some(value.to_string())
+}
+
+fn bench_keys_rule(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
+    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
+    let mut benches = Vec::new();
+    for bench in BENCH_FILES {
+        benches.push(fs::read_to_string(
+            root.join(format!("BENCH_{bench}.json")),
+        )?);
+    }
+    bench_keys(&md, &benches, allow, findings);
+    Ok(())
+}
+
+/// The `bench-keys` rule over file contents: `md` is `EXPERIMENTS.md`,
+/// `benches[i]` the text of `BENCH_<BENCH_FILES[i]>.json`.
+fn bench_keys(md: &str, benches: &[String], allow: &Allowlist, findings: &mut Vec<Finding>) {
+    let mut push = |file: &str, msg: String| {
+        findings.push(Finding {
+            rule: "bench-keys",
+            file: file.to_string(),
+            line: 0,
+            msg,
+        });
+    };
+    let md_keys = experiment_md_keys(md);
+    let rows: Vec<_> = benches.iter().map(|text| bench_rows(text)).collect();
+    for (bench, rows) in BENCH_FILES.iter().zip(&rows) {
+        for (name, _) in rows {
+            if !md_keys.contains(name) {
+                push(
+                    "EXPERIMENTS.md",
+                    format!("BENCH_{bench}.json row `{name}` has no EXPERIMENTS.md table row"),
+                );
             }
         }
     }
-    keys
-}
-
-fn experiments_keys_rule(
-    root: &Path,
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_experiments.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "experiments-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("BENCH_experiments.json row `{key}` has no EXPERIMENTS.md table row"),
-            });
-        }
-    }
+    let all = &rows[0];
     for key in &md_keys {
-        if !json_keys.contains(key) && !allow.allows("experiments-keys", key) {
-            findings.push(Finding {
-                rule: "experiments-keys",
-                file: "BENCH_experiments.json".to_string(),
-                line: 0,
-                msg: format!(
+        if !all.iter().any(|(name, _)| name == key) && !allow.allows("bench-keys", key) {
+            push(
+                "BENCH_experiments.json",
+                format!(
                     "EXPERIMENTS.md scenario `{key}` has no BENCH_experiments.json row \
                      (allowlist it if another artifact carries it)"
                 ),
-            });
+            );
         }
     }
-    Ok(())
-}
-
-/// Key prefixes that mark an `EXPERIMENTS.md` row as belonging to the
-/// crash/abort scenario family (`BENCH_rmr.json`'s scope).
-const RMR_FAMILY_PREFIXES: [&str; 2] = ["rmr_", "storm_"];
-
-fn rmr_keys_rule(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_rmr.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "rmr-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("BENCH_rmr.json row `{key}` has no EXPERIMENTS.md table row"),
-            });
+    // A family this rule does not know would go unchecked.
+    for (name, family) in all {
+        if !family.as_deref().is_some_and(|f| BENCH_FILES.contains(&f)) {
+            push(
+                "BENCH_experiments.json",
+                format!("row `{name}` has family {family:?}, which names no BENCH_*.json file"),
+            );
         }
     }
-    for key in &md_keys {
-        let in_family = RMR_FAMILY_PREFIXES.iter().any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("rmr-keys", key) {
-            findings.push(Finding {
-                rule: "rmr-keys",
-                file: "BENCH_rmr.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md crash/abort scenario `{key}` has no BENCH_rmr.json row \
-                     (add it to the rmr bench's ROWS, or allowlist it)"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Key prefixes that mark an `EXPERIMENTS.md` row as belonging to the
-/// lock-service scenario family (`BENCH_service.json`'s scope). The
-/// native sub-family is carved out: its rows live in
-/// `BENCH_service_native.json` (see `SERVICE_NATIVE_FAMILY_PREFIXES`).
-const SERVICE_FAMILY_PREFIXES: [&str; 1] = ["service_"];
-
-/// Key prefixes of the native (real-thread) lock-service sub-family
-/// (`BENCH_service_native.json`'s scope).
-const SERVICE_NATIVE_FAMILY_PREFIXES: [&str; 1] = ["service_native_"];
-
-fn service_keys_rule(
-    root: &Path,
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_service.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "service-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("BENCH_service.json row `{key}` has no EXPERIMENTS.md table row"),
-            });
-        }
-    }
-    for key in &md_keys {
-        let in_family = SERVICE_FAMILY_PREFIXES.iter().any(|p| key.starts_with(p))
-            && !SERVICE_NATIVE_FAMILY_PREFIXES
-                .iter()
-                .any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("service-keys", key) {
-            findings.push(Finding {
-                rule: "service-keys",
-                file: "BENCH_service.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md lock-service scenario `{key}` has no BENCH_service.json \
-                     row (add it to the service bench's ROWS, or allowlist it)"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn service_native_keys_rule(
-    root: &Path,
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_service_native.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "service-native-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!(
-                    "BENCH_service_native.json row `{key}` has no EXPERIMENTS.md table row"
-                ),
-            });
-        }
-    }
-    for key in &md_keys {
-        let in_family = SERVICE_NATIVE_FAMILY_PREFIXES
+    for (bench, rows) in BENCH_FILES.iter().zip(&rows).skip(1) {
+        let want: Vec<&str> = all
             .iter()
-            .any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("service-native-keys", key) {
-            findings.push(Finding {
-                rule: "service-native-keys",
-                file: "BENCH_service_native.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md native lock-service scenario `{key}` has no \
-                     BENCH_service_native.json row (add it to the service_native bench's \
-                     ROWS, or allowlist it)"
+            .filter(|(_, f)| f.as_deref() == Some(*bench))
+            .map(|(name, _)| name.as_str())
+            .collect();
+        let have: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
+        let file = format!("BENCH_{bench}.json");
+        for name in want.iter().filter(|n| !have.contains(n)) {
+            push(
+                &file,
+                format!(
+                    "BENCH_experiments.json row `{name}` is tagged `{bench}` but {file} has no \
+                     such row (re-run the experiments runner)"
                 ),
-            });
+            );
+        }
+        for name in have.iter().filter(|n| !want.contains(n)) {
+            push(
+                &file,
+                format!(
+                    "{file} row `{name}` is not a BENCH_experiments.json row tagged `{bench}` \
+                     (stale or hand-edited; re-run the experiments runner)"
+                ),
+            );
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -641,65 +563,122 @@ mod tests {
             experiment_md_keys(md).into_iter().collect::<Vec<_>>(),
             vec!["fig_1".to_string(), "tbl_2".to_string()]
         );
-        let json = r#"{"rows": [{"name": "fig_1"}, {"name": "tbl_2"}]}"#;
+        let json = r#"{"rows": [{"name": "fig_1", "family": "rmr"}, {"name" : "tbl_2"}]}"#;
         assert_eq!(
-            experiment_json_keys(json).into_iter().collect::<Vec<_>>(),
-            vec!["fig_1".to_string(), "tbl_2".to_string()]
+            bench_rows(json),
+            vec![
+                ("fig_1".to_string(), Some("rmr".to_string())),
+                ("tbl_2".to_string(), None),
+            ]
         );
     }
 
-    #[test]
-    fn rmr_family_prefixes_scope_the_rule() {
-        // Only `rmr_*`/`storm_*` EXPERIMENTS.md keys are required to
-        // have a BENCH_rmr.json row; everything else is out of scope.
-        let family = |k: &str| RMR_FAMILY_PREFIXES.iter().any(|p| k.starts_with(p));
-        assert!(family("rmr_recoverable"));
-        assert!(family("storm_robustness"));
-        assert!(!family("fig_3_15_baseline"));
-        assert!(!family("switch_cost"));
-        assert!(!family("service_tail_latency"));
+    /// `(name, family)` rows of an all-rows file.
+    type Rows<'a> = &'a [(&'a str, &'a str)];
+    /// Row names of the rmr, service and service_native files.
+    type FamilyFiles<'a> = [&'a [&'a str]; 3];
+
+    /// `bench-keys` findings as `file: msg`, over `EXPERIMENTS.md` keys
+    /// `fig_a`, `rmr_b`, `svc_c`, `native_d` and the md-only
+    /// `switch_cost`. `all` is the all-rows file as `(name, family)`
+    /// (`""`: untagged); `fams` are the rmr, service and service_native
+    /// files.
+    fn bench_keys_findings(all: Rows, fams: FamilyFiles, allow: &str) -> Vec<String> {
+        let md = "| `fig_a` |\n| `rmr_b` |\n| `svc_c` |\n| `native_d` |\n| `switch_cost` |\n";
+        let row = |name: &str, family: &str| match family {
+            "" => format!(r#"    {{"name": "{name}", "claims": []}}"#),
+            f => format!(r#"    {{"name": "{name}", "family": "{f}", "claims": []}}"#),
+        };
+        let file = |rows: Vec<String>| format!("{{\"rows\": [\n{}\n]}}\n", rows.join(",\n"));
+        let mut benches = vec![file(all.iter().map(|(n, f)| row(n, f)).collect())];
+        benches.extend(fams.map(|names| file(names.iter().map(|n| row(n, "")).collect())));
+        let mut f = Vec::new();
+        bench_keys(md, &benches, &Allowlist::parse(allow), &mut f);
+        assert!(f.iter().all(|x| x.rule == "bench-keys"));
+        f.iter().map(|x| format!("{}: {}", x.file, x.msg)).collect()
     }
 
     #[test]
-    fn service_family_prefixes_scope_the_rule() {
-        // Only `service_*` EXPERIMENTS.md keys are required to have a
-        // BENCH_service.json row; everything else is out of scope —
-        // including the `service_native_*` sub-family, which the
-        // service-native-keys rule owns.
-        let family = |k: &str| {
-            SERVICE_FAMILY_PREFIXES.iter().any(|p| k.starts_with(p))
-                && !SERVICE_NATIVE_FAMILY_PREFIXES
-                    .iter()
-                    .any(|p| k.starts_with(p))
-        };
-        assert!(family("service_tail_latency"));
-        assert!(family("service_stampede"));
-        assert!(!family("service_native_tail"));
-        assert!(!family("service_native_deflation"));
-        assert!(!family("rmr_recoverable"));
-        assert!(!family("fig_3_15_baseline"));
-    }
-
-    #[test]
-    fn service_native_family_prefixes_scope_the_rule() {
-        // Only `service_native_*` EXPERIMENTS.md keys are required to
-        // have a BENCH_service_native.json row.
-        let family = |k: &str| {
-            SERVICE_NATIVE_FAMILY_PREFIXES
-                .iter()
-                .any(|p| k.starts_with(p))
-        };
-        assert!(family("service_native_tail"));
-        assert!(family("service_native_deflation"));
-        assert!(!family("service_tail_latency"));
-        assert!(!family("rmr_recoverable"));
+    fn bench_keys_rule_table() {
+        let tags = [
+            ("fig_a", "experiments"),
+            ("rmr_b", "rmr"),
+            ("svc_c", "service"),
+        ];
+        let all = [tags[0], tags[1], tags[2], ("native_d", "service_native")];
+        let fams: FamilyFiles = [&["rmr_b"], &["svc_c"], &["native_d"]];
+        let allow = "bench-keys switch_cost";
+        // (case, all-rows file, family files, allowlist, finding prefixes)
+        let cases: [(&str, Rows, FamilyFiles, &str, &[&str]); 7] = [
+            // Families scope the rule: `fig_a` is in no family file and
+            // `native_d` is not required in BENCH_service.json.
+            ("in sync", &all, fams, allow, &[]),
+            (
+                "missing family-file row",
+                &all,
+                [&[], fams[1], fams[2]],
+                allow,
+                &["BENCH_rmr.json: BENCH_experiments.json row `rmr_b` is tagged `rmr`"],
+            ),
+            (
+                "extra family-file row",
+                &all,
+                [fams[0], &["svc_c", "native_d"], fams[2]],
+                allow,
+                &["BENCH_service.json: BENCH_service.json row `native_d` is not"],
+            ),
+            (
+                "family row absent from BENCH_experiments.json",
+                &tags,
+                fams,
+                allow,
+                &[
+                    "BENCH_experiments.json: EXPERIMENTS.md scenario `native_d` has no",
+                    "BENCH_service_native.json: BENCH_service_native.json row `native_d` is not",
+                ],
+            ),
+            (
+                "md-only key without the allowlist",
+                &all,
+                fams,
+                "",
+                &["BENCH_experiments.json: EXPERIMENTS.md scenario `switch_cost` has no"],
+            ),
+            (
+                "row that is no EXPERIMENTS.md key",
+                &all,
+                [&["rmr_b", "rmr_z"], fams[1], fams[2]],
+                allow,
+                &[
+                    "EXPERIMENTS.md: BENCH_rmr.json row `rmr_z` has no",
+                    "BENCH_rmr.json: BENCH_rmr.json row `rmr_z` is not",
+                ],
+            ),
+            (
+                "untagged and unknown families",
+                &[("fig_a", ""), tags[1], ("svc_c", "bogus"), all[3]],
+                [fams[0], &[], fams[2]],
+                allow,
+                &[
+                    "BENCH_experiments.json: row `fig_a` has family None",
+                    "BENCH_experiments.json: row `svc_c` has family Some(\"bogus\")",
+                ],
+            ),
+        ];
+        for (case, all, fams, allow, want) in cases {
+            let got = bench_keys_findings(all, fams, allow);
+            assert_eq!(got.len(), want.len(), "{case}: {got:?}");
+            for (g, w) in got.iter().zip(want) {
+                assert!(g.starts_with(w), "{case}: `{g}` does not start with `{w}`");
+            }
+        }
     }
 
     #[test]
     fn allowlist_parses_and_filters() {
-        let a = Allowlist::parse("# comment\nordering crates/x.rs\nexperiments-keys switch_cost\n");
+        let a = Allowlist::parse("# comment\nordering crates/x.rs\nbench-keys switch_cost\n");
         assert!(a.allows("ordering", "crates/x.rs"));
-        assert!(a.allows("experiments-keys", "switch_cost"));
+        assert!(a.allows("bench-keys", "switch_cost"));
         assert!(!a.allows(UNSAFE_KW, "crates/x.rs"));
     }
 }

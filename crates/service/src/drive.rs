@@ -40,8 +40,8 @@ use crate::exec::ArenaMode;
 use crate::limiter::LimiterConfig;
 use crate::native::NativeService;
 use crate::oracle::{self, Stampede, SwitchRecord};
-use crate::rng;
 use crate::workload::{think_time, Arrivals, Load, TenantConfig, Zipf};
+use alewife_sim::rng;
 
 /// Spins between clock reads while waiting out a scheduled gap or a
 /// hold; yields at this cadence so co-scheduled workers make progress

@@ -20,7 +20,7 @@
 //! seed reproduces the exact request sequence, which is what lets the
 //! bench gate p999 numbers in CI.
 
-use crate::rng;
+use alewife_sim::rng;
 
 /// Approximate Zipf(θ) sampler over `{0, 1, …, n-1}` using the Gray et
 /// al. two-segment inversion (SIGMOD '94 quickly-generating skewed
@@ -85,7 +85,7 @@ impl Zipf {
         if self.theta == 0.0 {
             return rng::below(&mut self.state, self.n);
         }
-        let u = rng::unit(&mut self.state);
+        let u = rng::unit_nonzero(&mut self.state);
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -296,11 +296,11 @@ impl Arrivals {
         // probability rate(t)/peak. Bounded retries keep a zero-rate
         // trough from spinning forever in pathological configs.
         for _ in 0..100_000 {
-            let gap = -rng::unit(&mut self.state).ln() / self.peak_per_ns;
+            let gap = -rng::unit_nonzero(&mut self.state).ln() / self.peak_per_ns;
             self.now_ns += gap;
             let t = self.now_ns as u64;
             let accept = self.curve.rate_per_ns(t) / self.peak_per_ns;
-            if rng::unit(&mut self.state) <= accept {
+            if rng::unit_nonzero(&mut self.state) <= accept {
                 return Some(t);
             }
         }
@@ -314,7 +314,7 @@ pub fn think_time(mean_ns: u64, state: &mut u64) -> u64 {
     if mean_ns == 0 {
         return 0;
     }
-    (-rng::unit(state).ln() * mean_ns as f64) as u64
+    (-rng::unit_nonzero(state).ln() * mean_ns as f64) as u64
 }
 
 #[cfg(test)]
