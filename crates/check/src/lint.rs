@@ -12,10 +12,10 @@
 //!   comment (same placement rule), or its file is allowlisted.
 //! * `hot-path-maps` — the simulator's hot-path modules must stay on
 //!   dense arena/slab structures: no `HashMap`/`BTreeMap`.
-//! * `horizon-comments` — every cross-shard channel send/recv site in
-//!   the parallel scheduler (`crates/sim/src/parallel.rs`) carries an
-//!   adjacent `// horizon:` comment justifying why the transfer cannot
-//!   violate the conservative safe-horizon invariant.
+//! * `horizon-comments` — every cross-shard lane lock (the push and
+//!   drain sites) in the parallel scheduler (`crates/sim/src/parallel.rs`)
+//!   carries an adjacent `// horizon:` comment justifying why the
+//!   transfer cannot violate the conservative safe-horizon invariant.
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
 //! * `bench-keys` — the scenario runner's artifacts stay in sync with
@@ -47,14 +47,10 @@ const HASH_MAP: &str = concat!("Hash", "Map");
 const BTREE_MAP: &str = concat!("BTree", "Map");
 const HORIZON_COMMENT: &str = concat!("hori", "zon:");
 
-/// Cross-shard channel transfer calls in the parallel scheduler; each
-/// occurrence must justify the safe-horizon invariant.
-const CHANNEL_OPS: [&str; 4] = [
-    concat!(".try_", "send("),
-    concat!(".try_", "recv("),
-    concat!(".se", "nd("),
-    concat!(".re", "cv("),
-];
+/// Locking a cross-shard lane in the parallel scheduler (its only
+/// locks): each push and drain site must justify the safe-horizon
+/// invariant.
+const LANE_LOCK: &str = concat!(".lo", "ck()");
 
 /// The one file the `horizon-comments` rule applies to.
 const PARALLEL_FILE: &str = "crates/sim/src/parallel.rs";
@@ -311,7 +307,7 @@ fn horizon_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
         if is_comment_line(line) {
             continue;
         }
-        if !CHANNEL_OPS.iter().any(|op| line.contains(op)) {
+        if !line.contains(LANE_LOCK) {
             continue;
         }
         if !justified(lines, i, HORIZON_COMMENT) {
@@ -320,7 +316,7 @@ fn horizon_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
                 file: file.to_string(),
                 line: i + 1,
                 msg: format!(
-                    "cross-shard channel transfer without an adjacent `// {HORIZON_COMMENT}` \
+                    "cross-shard lane access without an adjacent `// {HORIZON_COMMENT}` \
                      justification of the safe-horizon invariant"
                 ),
             });
@@ -535,24 +531,20 @@ mod tests {
 
     #[test]
     fn horizon_rule_requires_adjacent_justification() {
-        let send = format!("tx{}msg){};", CHANNEL_OPS[0], ".unwrap()");
-        let recv = format!("while let Ok(m) = rx{}) {{", CHANNEL_OPS[1]);
-        let comment = format!("// {HORIZON_COMMENT} drained only at the epoch barrier.");
+        let push = format!("lanes[dst][src]{LANE_LOCK}.expect(\"poisoned\").push(msg);");
+        let drain = format!("let msgs = std::mem::take(&mut *lane{LANE_LOCK}.unwrap());");
+        let comment = format!("// {HORIZON_COMMENT} drained only after the closing barrier.");
         let mut f = Vec::new();
-        horizon_rule(PARALLEL_FILE, &[comment.as_str(), send.as_str()], &mut f);
+        horizon_rule(PARALLEL_FILE, &[comment.as_str(), push.as_str()], &mut f);
         assert!(f.is_empty(), "{f:?}");
-        horizon_rule(PARALLEL_FILE, &[send.as_str(), recv.as_str()], &mut f);
-        assert_eq!(f.len(), 2, "both unjustified transfer sites flagged");
+        horizon_rule(PARALLEL_FILE, &[push.as_str(), drain.as_str()], &mut f);
+        assert_eq!(f.len(), 2, "both unjustified lane accesses flagged");
         assert_eq!((f[0].line, f[1].line), (1, 2));
         f.clear();
         // A multi-line statement reaches back to the block above its head.
-        let head = "match txs[dst]";
-        let tail = format!("    .as_ref().unwrap(){}", &send);
-        horizon_rule(
-            PARALLEL_FILE,
-            &[comment.as_str(), head, tail.as_str()],
-            &mut f,
-        );
+        let tail = format!("    {LANE_LOCK}");
+        let lines = [comment.as_str(), "lanes[dst][src]", tail.as_str()];
+        horizon_rule(PARALLEL_FILE, &lines, &mut f);
         assert!(f.is_empty(), "{f:?}");
     }
 

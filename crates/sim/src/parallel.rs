@@ -38,15 +38,19 @@
 //! ## Determinism and the two modes
 //!
 //! [`Cluster::run_serial`] executes the epoch algorithm on one thread —
-//! shards in index order inside each epoch, messages routed in (sender
-//! shard, post order) — and is bit-deterministic like the sequential
-//! simulator. [`Cluster::run_parallel`] runs one OS thread per shard
-//! with the *same* epoch structure: per-shard execution is sequential
-//! and deterministic, message injection order is fixed by draining the
-//! per-sender SPSC channels in sender order, and horizon choices depend
-//! only on exchanged next-event times — so the parallel run produces
+//! shards in index order inside each epoch — and is bit-deterministic
+//! like the sequential simulator. [`Cluster::run_parallel`] runs one OS
+//! thread per shard. Both modes drive the *same* epoch step over the
+//! same cross-shard transport: one unbounded lane per ordered shard
+//! pair, appended to while the sender runs its epoch and drained in
+//! sender-shard order only after the epoch's closing barrier. Per-shard
+//! execution is sequential and deterministic, injection order is fixed
+//! by (sender shard, post order), and horizon choices depend only on
+//! exchanged next-event times — so the parallel run produces
 //! **identical** [`Stats`] to the serial run regardless of thread
-//! interleaving (asserted by `tests/parallel_conformance.rs`).
+//! interleaving (asserted by `tests/parallel_conformance.rs`). A shard
+//! that panics fails the run in either mode: the threaded mode releases
+//! the peers parked at the epoch barrier and re-raises the panic.
 //!
 //! A causality detector guards the conservative invariant: every
 //! delivery is checked against the receiving shard's executed-to
@@ -55,11 +59,11 @@
 //! proptest drives random topologies through both modes and asserts the
 //! count stays zero).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
@@ -81,29 +85,6 @@ pub struct ParallelConfig {
     /// latency; both modes apply the same declared latency.
     pub epoch_window: u64,
 }
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            epoch_window: 0,
-        }
-    }
-}
-
-/// Per-channel bound on in-flight cross-shard messages per epoch. The
-/// receiver drains only at epoch boundaries, so the bound must cover
-/// one epoch's worth of posts per ordered shard pair. It must also stay
-/// modest: `std::sync::mpsc::sync_channel` preallocates its whole slot
-/// ring, and a cluster owns `workers * (workers - 1)` lanes, so the cap
-/// multiplies quadratically into resident memory (64 workers at this
-/// cap is ~80 bytes * 4096 * 4032 lanes ~ 1.3 GB; the previous 2^20
-/// cap tried to reserve hundreds of GB). Overflow panics loudly at the
-/// send site rather than blocking (blocking a worker mid-epoch would
-/// deadlock the barrier), so an exotic workload that legitimately posts
-/// more per epoch fails fast with instructions instead of corrupting
-/// the schedule.
-const CHANNEL_CAP: usize = 1 << 12;
 
 /// A cross-shard active message in flight between two shards.
 #[derive(Clone, Copy, Debug)]
@@ -199,19 +180,6 @@ impl ShardCtx<'_> {
     pub fn mail(&self) -> RemoteMail {
         self.mail.clone()
     }
-
-    /// Global id of this shard's local node `local`.
-    pub fn to_global(&self, local: usize) -> usize {
-        assert!(local < self.shard_nodes);
-        self.node_base + local
-    }
-
-    /// Local id of global node `global` if this shard owns it.
-    pub fn to_local(&self, global: usize) -> Option<usize> {
-        global
-            .checked_sub(self.node_base)
-            .filter(|&l| l < self.shard_nodes)
-    }
 }
 
 /// The merged result of a cluster run.
@@ -254,48 +222,110 @@ pub struct ClusterReport {
     pub causality_violations: u64,
 }
 
-impl ClusterReport {
-    /// Total executor events over all shards.
-    pub fn events(&self) -> u64 {
-        self.stats.sim_events
-    }
+/// The cross-shard transport both run modes share: `lanes[dst][src]`
+/// holds what shard `src` posted to shard `dst` (self lanes stay empty).
+/// A sender appends only while it runs an epoch and a receiver drains
+/// only after that epoch's closing barrier, so no lane lock is ever
+/// contended and no lane needs a capacity bound. A guard is held only
+/// for a push or a take, neither of which panics, so no lane is ever
+/// poisoned.
+type Lanes = Vec<Vec<Mutex<Vec<RemoteMsg>>>>;
+
+fn empty_lanes(w: usize) -> Lanes {
+    (0..w)
+        .map(|_| (0..w).map(|_| Mutex::default()).collect())
+        .collect()
 }
 
 /// One shard's runtime while a cluster executes.
 struct ShardRt {
+    shard: usize,
     machine: Machine,
     mail: RemoteMail,
     /// Horizon watermark: every event up to and including this time has
     /// been executed (the causality detector's reference point).
     executed_to: u64,
+    epochs: u64,
     busy: Duration,
     delivered: u64,
     violations: u64,
 }
 
 impl ShardRt {
-    /// Deliver one routed message into the shard queue, enforcing the
-    /// safe-horizon invariant.
-    fn inject(&mut self, m: &RemoteMsg, base: usize) {
-        if m.deliver_at <= self.executed_to {
-            debug_assert!(
-                false,
-                "causality violation: delivery at {} but shard executed through {}",
-                m.deliver_at, self.executed_to
-            );
-            self.violations += 1;
+    /// Inject last epoch's cross-shard messages, lane by lane in sender
+    /// shard order and in post order within a lane — the canonical
+    /// injection order — checking each against the safe-horizon
+    /// watermark.
+    fn deliver(&mut self, lanes: &Lanes) {
+        for lane in &lanes[self.shard] {
+            // horizon: a lane is drained only after the closing barrier
+            // of the epoch its messages were posted in, and each carries
+            // deliver_at >= the horizon that epoch executed to, so no
+            // delivery lands in this shard's executed past (re-checked
+            // against the watermark below).
+            let msgs = std::mem::take(&mut *lane.lock().expect("lane poisoned"));
+            for m in msgs {
+                if m.deliver_at <= self.executed_to {
+                    debug_assert!(
+                        false,
+                        "causality violation: delivery at {} but shard executed through {}",
+                        m.deliver_at, self.executed_to
+                    );
+                    self.violations += 1;
+                }
+                self.delivered += 1;
+                let local = m.dest - self.mail.base;
+                self.machine
+                    .inject_message(local, m.from, Port(m.port), m.args, m.deliver_at);
+            }
         }
-        self.delivered += 1;
-        let local = m.dest - base;
-        self.machine
-            .inject_message(local, m.from, Port(m.port), m.args, m.deliver_at);
     }
 
-    /// Take everything posted to the shard's outbox this epoch, in post
-    /// order.
-    fn take_outgoing(&self) -> Vec<RemoteMsg> {
-        std::mem::take(&mut *self.mail.buf.borrow_mut())
+    /// Run one epoch: execute every event before `horizon`, then route
+    /// the epoch's posts into the outbound lanes in post order. Returns
+    /// the wall time and the number of events the epoch took.
+    fn advance(&mut self, horizon: u64, cluster: &Cluster, lanes: &Lanes) -> (Duration, u64) {
+        let ev0 = self.machine.events_executed();
+        let t0 = Instant::now();
+        self.machine.run_until(horizon - 1);
+        self.executed_to = horizon - 1;
+        for msg in self.mail.buf.take() {
+            // horizon: posts from this epoch carry deliver_at >= horizon
+            // (post time >= m, latency >= lookahead), and the receiver
+            // drains only after this epoch's closing barrier.
+            lanes[cluster.shard_of(msg.dest)][self.shard]
+                .lock()
+                .expect("lane poisoned")
+                .push(msg);
+        }
+        let dt = t0.elapsed();
+        self.busy += dt;
+        self.epochs += 1;
+        (dt, self.machine.events_executed() - ev0)
     }
+
+    fn finish(self) -> ShardDone {
+        ShardDone {
+            stats: self.machine.stats(),
+            live_tasks: self.machine.live_tasks(),
+            elapsed: self.machine.now(),
+            busy: self.busy,
+            delivered: self.delivered,
+            violations: self.violations,
+            epochs: self.epochs,
+        }
+    }
+}
+
+/// One shard's final accounting, independent of execution mode.
+struct ShardDone {
+    stats: Stats,
+    live_tasks: usize,
+    elapsed: u64,
+    busy: Duration,
+    delivered: u64,
+    violations: u64,
+    epochs: u64,
 }
 
 /// A sharded simulated machine executable serially (deterministic
@@ -304,7 +334,6 @@ impl ShardRt {
 pub struct Cluster {
     nodes: usize,
     base: Config,
-    pcfg: ParallelConfig,
     /// `(base, len)` per shard: contiguous, covering `0..nodes`.
     ranges: Vec<(usize, usize)>,
     world: Arc<MailWorld>,
@@ -348,7 +377,6 @@ impl Cluster {
         Cluster {
             nodes,
             base,
-            pcfg,
             ranges,
             world,
             lookahead,
@@ -359,26 +387,6 @@ impl Cluster {
     /// cross-shard latency (mesh-derived, floored by `epoch_window`).
     pub fn lookahead(&self) -> u64 {
         self.lookahead
-    }
-
-    /// The parallel configuration this cluster was built with.
-    pub fn config(&self) -> &ParallelConfig {
-        &self.pcfg
-    }
-
-    /// Total nodes across the cluster.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The global node range `(base, len)` of shard `s`.
-    pub fn shard_range(&self, s: usize) -> (usize, usize) {
-        self.ranges[s]
     }
 
     fn compute_lookahead(world: &MailWorld, ranges: &[(usize, usize)]) -> u64 {
@@ -433,9 +441,11 @@ impl Cluster {
             mail: mail.clone(),
         });
         ShardRt {
+            shard: s,
             machine,
             mail,
             executed_to: 0,
+            epochs: 0,
             busy: Duration::ZERO,
             delivered: 0,
             violations: 0,
@@ -444,26 +454,20 @@ impl Cluster {
 
     /// Run the sharded machine to completion on one thread: the
     /// deterministic reference execution of the epoch algorithm (shards
-    /// in index order within each epoch, messages routed in (sender,
-    /// post-order)). Also measures the per-epoch critical path, which
-    /// parallel-host throughput projections are read from.
+    /// in index order within each epoch). Also measures the per-epoch
+    /// critical path, which parallel-host throughput projections are
+    /// read from.
     pub fn run_serial(&self, setup: impl Fn(&ShardCtx<'_>)) -> ClusterReport {
         let t_run = Instant::now();
-        let w = self.ranges.len();
-        let lookahead = self.lookahead;
-        let mut shards: Vec<ShardRt> = (0..w).map(|s| self.build_shard(s, &setup)).collect();
-        // inboxes[dest] holds this epoch's deliveries, already in
-        // (sender shard, post order) — the canonical injection order.
-        let mut inboxes: Vec<Vec<RemoteMsg>> = (0..w).map(|_| Vec::new()).collect();
-        let mut epochs = 0u64;
+        let lanes = empty_lanes(self.ranges.len());
+        let mut shards: Vec<ShardRt> = (0..self.ranges.len())
+            .map(|s| self.build_shard(s, &setup))
+            .collect();
         let mut critical_path = Duration::ZERO;
         let mut cp_events = 0u64;
         loop {
-            for (s, rt) in shards.iter_mut().enumerate() {
-                let (base, _) = self.ranges[s];
-                for m in inboxes[s].drain(..) {
-                    rt.inject(&m, base);
-                }
+            for rt in &mut shards {
+                rt.deliver(&lanes);
             }
             let Some(m) = shards
                 .iter()
@@ -472,31 +476,18 @@ impl Cluster {
             else {
                 break;
             };
-            let horizon = m + lookahead;
             let mut epoch_max = Duration::ZERO;
             let mut epoch_max_ev = 0u64;
-            for (s, rt) in shards.iter_mut().enumerate() {
-                let ev0 = rt.machine.events_executed();
-                let t0 = Instant::now();
-                rt.machine.run_until(horizon - 1);
-                rt.executed_to = horizon - 1;
-                // Route in sender order: shard s's posts append to each
-                // destination inbox before shard s+1's.
-                for msg in rt.take_outgoing() {
-                    let dest_shard = self.shard_of(msg.dest);
-                    debug_assert_ne!(dest_shard, s);
-                    inboxes[dest_shard].push(msg);
-                }
-                let dt = t0.elapsed();
-                rt.busy += dt;
+            for rt in &mut shards {
+                let (dt, ev) = rt.advance(m + self.lookahead, self, &lanes);
                 epoch_max = epoch_max.max(dt);
-                epoch_max_ev = epoch_max_ev.max(rt.machine.events_executed() - ev0);
+                epoch_max_ev = epoch_max_ev.max(ev);
             }
             critical_path += epoch_max;
             cp_events += epoch_max_ev;
-            epochs += 1;
         }
-        self.report(shards, epochs, critical_path, cp_events, t_run.elapsed())
+        let done = shards.into_iter().map(ShardRt::finish).collect();
+        self.report(done, critical_path, cp_events, t_run.elapsed())
     }
 
     /// Run the sharded machine with one OS thread per shard under the
@@ -504,140 +495,90 @@ impl Cluster {
     /// [`Cluster::run_serial`] for the same setup (the cross-mode
     /// conformance contract); wall time reflects the host's real
     /// parallelism.
+    ///
+    /// Each worker's epoch is deliver → publish → barrier → read-all →
+    /// advance → barrier. A worker republishes only after the second
+    /// barrier, which every peer reaches only after reading, so two
+    /// barriers per epoch suffice; the exit decision is computed from
+    /// identical published values, so all workers stop together.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a shard whose setup or workload panicked,
+    /// after releasing the other workers.
     pub fn run_parallel(&self, setup: impl Fn(&ShardCtx<'_>) + Send + Sync) -> ClusterReport {
         let t_run = Instant::now();
         let w = self.ranges.len();
-        let lookahead = self.lookahead;
+        let lanes = empty_lanes(w);
         // next_times[s]: shard s's published next-event time (u64::MAX
         // = drained). Workers read all slots between the two barriers.
         let next_times: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
         let barrier = Barrier::new(w);
-        // One bounded SPSC channel per ordered shard pair. Worker s
-        // keeps txs[s][d] (its lane to d) and rxs[s][src] (its lane
-        // from src); the self lane is never used.
-        let mut txs: Vec<Vec<Option<SyncSender<RemoteMsg>>>> =
-            (0..w).map(|_| (0..w).map(|_| None).collect()).collect();
-        let mut rxs: Vec<Vec<Option<Receiver<RemoteMsg>>>> =
-            (0..w).map(|_| (0..w).map(|_| None).collect()).collect();
-        for src in 0..w {
-            for dst in 0..w {
-                if src != dst {
-                    let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_CAP);
-                    txs[src][dst] = Some(tx);
-                    rxs[dst][src] = Some(rx);
-                }
-            }
-        }
-        let mut results: Vec<Option<ShardDone>> = (0..w).map(|_| None).collect();
-        std::thread::scope(|sc| {
-            let mut handles = Vec::with_capacity(w);
-            for (s, (tx_row, rx_row)) in txs.drain(..).zip(rxs.drain(..)).enumerate() {
-                let next_times = &next_times;
-                let barrier = &barrier;
-                let setup = &setup;
-                handles.push(sc.spawn(move || {
-                    self.worker(s, setup, tx_row, rx_row, next_times, barrier, lookahead)
-                }));
-            }
-            for (s, h) in handles.into_iter().enumerate() {
-                results[s] = Some(h.join().expect("shard worker panicked"));
-            }
+        // Barrier rounds count from 1. A worker that panics publishes the
+        // round at which it meets its peers, and they stop there instead
+        // of waiting for it at the next one.
+        let abort_round = AtomicU64::new(0);
+        let (lanes, next_times, barrier) = (&lanes, &next_times, &barrier);
+        let (abort_round, setup) = (&abort_round, &setup);
+        let results: Vec<_> = std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..w)
+                .map(|s| {
+                    sc.spawn(move || {
+                        let round = Cell::new(0u64);
+                        // Wait at the barrier; false once a peer aborted.
+                        let meet = || {
+                            barrier.wait();
+                            round.set(round.get() + 1);
+                            // order: Acquire pairs with the Release store
+                            // below (the barrier already synchronizes).
+                            abort_round.load(Ordering::Acquire) != round.get()
+                        };
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            let mut rt = self.build_shard(s, setup);
+                            loop {
+                                rt.deliver(lanes);
+                                let next = rt.machine.next_event_time().unwrap_or(u64::MAX);
+                                // order: Release publish / Acquire read
+                                // pair with the barrier; the barrier
+                                // already synchronizes, the ordering just
+                                // keeps the slot handoff locally obvious.
+                                next_times[s].store(next, Ordering::Release);
+                                if !meet() {
+                                    return None;
+                                }
+                                let m = next_times
+                                    .iter()
+                                    .map(|t| t.load(Ordering::Acquire)) // order: see store above
+                                    .min()
+                                    .expect("at least one shard");
+                                if m == u64::MAX {
+                                    return Some(rt);
+                                }
+                                rt.advance(m + self.lookahead, self, lanes);
+                                if !meet() {
+                                    return None;
+                                }
+                            }
+                        }));
+                        let rt = run.unwrap_or_else(|payload| {
+                            // order: Release pairs with the Acquire in
+                            // `meet`, ahead of the barrier the peers are
+                            // parked at (or heading to).
+                            abort_round.store(round.get() + 1, Ordering::Release);
+                            barrier.wait();
+                            resume_unwind(payload)
+                        });
+                        rt.map(ShardRt::finish)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let mut epochs = 0u64;
-        let mut shards = Vec::with_capacity(w);
-        for done in results.into_iter().flatten() {
-            epochs = done.epochs; // identical across workers by construction
-            shards.push(done);
-        }
+        let done = match results.into_iter().collect::<Result<Vec<_>, _>>() {
+            Ok(done) => done.into_iter().flatten().collect(),
+            Err(payload) => resume_unwind(payload),
+        };
         // Critical-path accounting is measured by the serial reference.
-        self.report_done(shards, epochs, Duration::ZERO, 0, t_run.elapsed())
-    }
-
-    /// One worker's epoch loop. Barrier discipline: publish → barrier →
-    /// read-all → run+flush → barrier. A worker republishes only after
-    /// the second barrier, which every peer reaches only after reading,
-    /// so two barriers per epoch suffice; the exit decision is computed
-    /// from identical published values, so all workers break together.
-    #[allow(clippy::too_many_arguments)]
-    fn worker(
-        &self,
-        s: usize,
-        setup: &(impl Fn(&ShardCtx<'_>) + Send + Sync),
-        txs: Vec<Option<SyncSender<RemoteMsg>>>,
-        rxs: Vec<Option<Receiver<RemoteMsg>>>,
-        next_times: &[AtomicU64],
-        barrier: &Barrier,
-        lookahead: u64,
-    ) -> ShardDone {
-        let (base, _) = self.ranges[s];
-        let mut rt = self.build_shard(s, setup);
-        let mut epochs = 0u64;
-        loop {
-            // Drain this epoch's deliveries in sender-shard order — the
-            // same canonical injection order the serial mode uses.
-            for rx in rxs.iter().flatten() {
-                // horizon: messages in the lane were flushed before the
-                // previous epoch's closing barrier, and each carries
-                // deliver_at >= the horizon that epoch executed to, so
-                // draining here can never deliver into this shard's
-                // executed past (rt.inject re-checks the watermark).
-                while let Ok(m) = rx.try_recv() {
-                    rt.inject(&m, base);
-                }
-            }
-            let next = rt.machine.next_event_time().unwrap_or(u64::MAX);
-            // order: Release publish / Acquire read pairs with the
-            // barrier; the barrier already synchronizes, the ordering
-            // just keeps the slot handoff locally obvious.
-            next_times[s].store(next, Ordering::Release);
-            barrier.wait();
-            let m = next_times
-                .iter()
-                .map(|t| t.load(Ordering::Acquire)) // order: see store above
-                .min()
-                .expect("at least one shard");
-            if m == u64::MAX {
-                // All queues drained and all lanes empty: every worker
-                // computes this same minimum and exits together.
-                break;
-            }
-            let horizon = m + lookahead;
-            let t0 = Instant::now();
-            rt.machine.run_until(horizon - 1);
-            rt.executed_to = horizon - 1;
-            for msg in rt.take_outgoing() {
-                let dest_shard = self.shard_of(msg.dest);
-                // horizon: posts from this epoch carry deliver_at >=
-                // horizon (post time >= m, latency >= lookahead), and
-                // the receiver drains only after the closing barrier
-                // below, so the lane bound covers exactly one epoch.
-                match txs[dest_shard]
-                    .as_ref()
-                    .expect("self lane is never posted to")
-                    .try_send(msg)
-                {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        panic!("cross-shard lane overflow: >{CHANNEL_CAP} messages in one epoch")
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        unreachable!("receiver outlives the scope")
-                    }
-                }
-            }
-            rt.busy += t0.elapsed();
-            epochs += 1;
-            barrier.wait();
-        }
-        ShardDone {
-            stats: rt.machine.stats(),
-            live_tasks: rt.machine.live_tasks(),
-            elapsed: rt.machine.now(),
-            busy: rt.busy,
-            delivered: rt.delivered,
-            violations: rt.violations,
-            epochs,
-        }
+        self.report(done, Duration::ZERO, 0, t_run.elapsed())
     }
 
     /// Shard owning global node `g` (ranges are contiguous).
@@ -656,37 +597,14 @@ impl Cluster {
 
     fn report(
         &self,
-        shards: Vec<ShardRt>,
-        epochs: u64,
-        critical_path: Duration,
-        cp_events: u64,
-        wall: Duration,
-    ) -> ClusterReport {
-        let done: Vec<ShardDone> = shards
-            .into_iter()
-            .map(|rt| ShardDone {
-                stats: rt.machine.stats(),
-                live_tasks: rt.machine.live_tasks(),
-                elapsed: rt.machine.now(),
-                busy: rt.busy,
-                delivered: rt.delivered,
-                violations: rt.violations,
-                epochs,
-            })
-            .collect();
-        self.report_done(done, epochs, critical_path, cp_events, wall)
-    }
-
-    fn report_done(
-        &self,
         shards: Vec<ShardDone>,
-        epochs: u64,
         critical_path: Duration,
         cp_events: u64,
         wall: Duration,
     ) -> ClusterReport {
         let mut stats = Stats::default();
         let mut elapsed = 0;
+        let mut epochs = 0;
         let mut live = 0;
         let mut remote = 0;
         let mut violations = 0;
@@ -698,6 +616,7 @@ impl Cluster {
             stats.rmr_dsm.append(&mut d.stats.rmr_dsm);
             stats.absorb(&d.stats);
             elapsed = elapsed.max(d.elapsed);
+            epochs = d.epochs; // identical across shards by construction
             live += d.live_tasks;
             remote += d.delivered;
             violations += d.violations;
@@ -717,17 +636,6 @@ impl Cluster {
             causality_violations: violations,
         }
     }
-}
-
-/// One shard's final accounting, independent of execution mode.
-struct ShardDone {
-    stats: Stats,
-    live_tasks: usize,
-    elapsed: u64,
-    busy: Duration,
-    delivered: u64,
-    violations: u64,
-    epochs: u64,
 }
 
 #[cfg(test)]
@@ -842,12 +750,10 @@ mod tests {
                 epoch_window: 0,
             },
         );
-        assert_eq!(c.shard_range(0), (0, 4));
-        assert_eq!(c.shard_range(1), (4, 3));
-        assert_eq!(c.shard_range(2), (7, 3));
+        assert_eq!(c.ranges, [(0, 4), (4, 3), (7, 3)]);
         for g in 0..10 {
             let s = c.shard_of(g);
-            let (b, l) = c.shard_range(s);
+            let (b, l) = c.ranges[s];
             assert!(g >= b && g < b + l, "node {g} misrouted to shard {s}");
         }
     }

@@ -6,12 +6,18 @@
 //! deterministic and the epoch protocol fixes the cross-shard injection
 //! order, so nothing may depend on thread interleaving.
 //!
-//! Three seeded workloads cover the surface: shard-local reactive locks
+//! Four seeded workloads cover the surface: shard-local reactive locks
 //! with a cross-shard message ring, an all-to-all message storm with
-//! handler-originated replies, and an unevenly-sharded mixed run with a
-//! widened epoch window.
+//! handler-originated replies, an unevenly-sharded mixed run with a
+//! widened epoch window, and a dense burst that puts thousands of
+//! messages into one lane in one epoch. A last test checks that a
+//! panicking shard fails the threaded run instead of hanging it.
 
-use alewife_sim::parallel::{Cluster, ParallelConfig, ShardCtx};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use alewife_sim::parallel::{Cluster, ClusterReport, ParallelConfig, ShardCtx};
 use alewife_sim::{Config, Port, Stats};
 use sim_apps::alg::{AnyLock, LockAlg};
 
@@ -59,7 +65,7 @@ fn check_both_modes(
     pcfg: ParallelConfig,
     seed: u64,
     setup: impl Fn(&ShardCtx<'_>) + Send + Sync + Copy,
-) {
+) -> ClusterReport {
     let mk = || Cluster::new(nodes, Config::default().seed(seed), pcfg.clone());
     let serial = mk().run_serial(setup);
     let parallel = mk().run_parallel(setup);
@@ -78,6 +84,7 @@ fn check_both_modes(
     );
     assert_stats_identical(&serial.stats, &parallel.stats, name);
     assert!(serial.stats.sim_events > 0, "{name}: trivially empty run");
+    serial
 }
 
 /// Workload 1: every shard hammers a shard-local reactive lock while
@@ -185,6 +192,32 @@ fn mixed_uneven(ctx: &ShardCtx<'_>) {
     }
 }
 
+/// Posts per node in each of [`dense_burst`]'s two bursts.
+const BURST: u64 = 1_500;
+
+/// Workload 4: every node posts two bursts of [`BURST`] messages to the
+/// next shard. With 4 nodes per shard, the first epoch puts 6,000
+/// messages into one lane: a lane must not cap an epoch's traffic.
+fn dense_burst(ctx: &ShardCtx<'_>) {
+    let m = ctx.machine;
+    let (n, base, total) = (ctx.shard_nodes, ctx.node_base, ctx.total_nodes);
+    for local in 0..n {
+        m.register_handler(local, Port(43), |hctx, _| hctx.bump("dense_recv", 1));
+    }
+    for p in 0..n {
+        let (cpu, mail) = (m.cpu(p), ctx.mail());
+        m.spawn(p, async move {
+            for round in 0..2 {
+                for i in 0..BURST {
+                    let dest = (base + p + n) % total;
+                    mail.post(cpu.now(), base + p, dest, Port(43), [round, i, 0, 0]);
+                }
+                cpu.work(100 + cpu.rand_below(100)).await;
+            }
+        });
+    }
+}
+
 #[test]
 fn conformance_lock_ring() {
     check_both_modes(
@@ -225,4 +258,49 @@ fn conformance_mixed_uneven() {
         0xC0FF_EE03,
         mixed_uneven,
     );
+}
+
+#[test]
+fn conformance_dense_burst() {
+    let pcfg = ParallelConfig {
+        workers: 2,
+        epoch_window: 0,
+    };
+    let r = check_both_modes("dense_burst", 8, pcfg, 0xC0FF_EE04, dense_burst);
+    assert_eq!(r.stats.counter("dense_recv"), 8 * 2 * BURST);
+}
+
+/// A shard whose setup or workload panics fails `run_parallel` with its
+/// own panic instead of leaving its peers parked at an epoch barrier.
+/// The run sits on a helper thread so that a hang fails at the timeout.
+#[test]
+fn shard_panic_fails_the_parallel_run() {
+    for mid_run in [false, true] {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pcfg = ParallelConfig {
+                workers: 4,
+                epoch_window: 0,
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                Cluster::new(16, Config::default(), pcfg).run_parallel(|ctx| {
+                    lock_ring(ctx);
+                    if ctx.shard == 2 {
+                        assert!(mid_run, "deliberate setup failure");
+                        let cpu = ctx.machine.cpu(0);
+                        ctx.machine.spawn(0, async move {
+                            cpu.work(500).await;
+                            panic!("deliberate workload failure");
+                        });
+                    }
+                })
+            }));
+            let _ = tx.send(run.err().and_then(|p| p.downcast_ref::<&str>().copied()));
+        });
+        let msg = rx.recv_timeout(Duration::from_secs(30));
+        let want = if mid_run { "workload" } else { "setup" };
+        let expected = format!("deliberate {want} failure");
+        assert_eq!(msg, Ok(Some(expected.as_str())), "no prompt shard panic");
+        helper.join().expect("helper thread panicked");
+    }
 }
