@@ -240,9 +240,12 @@ impl Policy for Always {
 /// algorithm (§3.4.1): accumulate the residual cost of staying and
 /// switch when it exceeds `round_trip`, the round-trip protocol-change
 /// cost (`d_AB + d_BA`; the empirical §3.5.5 value is ≈ 8000 + 800 =
-/// 8800 cycles). Worst case 3× the off-line optimum. Unlike
-/// [`Hysteresis`], the cumulative cost persists across breaks in the
-/// suboptimality streak.
+/// 8800 cycles). Worst case 3× the off-line optimum in the
+/// lookahead-one task-system model, where the policy decides before a
+/// request is served. A reactive object observes after serving, so it
+/// pays at most one extra residual per switch: 3.006× on the Fig. 3.14
+/// adversary. Unlike [`Hysteresis`], the cumulative cost persists
+/// across breaks in the suboptimality streak.
 #[derive(Clone, Copy, Debug)]
 pub struct Competitive3 {
     round_trip: f64,

@@ -18,6 +18,7 @@ use std::rc::Rc;
 use alewife_sim::{Config, Machine};
 use reactive_core::policy::{Decision, Observation, Policy};
 use reactive_core::ReactiveLock;
+use waiting_theory::task_system::NeverSwitch;
 
 /// Always propose the other protocol of a 2-way object.
 #[derive(Clone, Copy)]
@@ -26,16 +27,6 @@ struct FlipFlop;
 impl Policy for FlipFlop {
     fn decide(&mut self, obs: &Observation) -> Decision {
         Decision::SwitchTo(reactive_core::policy::ProtocolId(1 - obs.current.0))
-    }
-}
-
-/// Never switch (baseline releases).
-#[derive(Clone, Copy)]
-struct Stay;
-
-impl Policy for Stay {
-    fn decide(&mut self, _obs: &Observation) -> Decision {
-        Decision::Stay
     }
 }
 
@@ -97,7 +88,7 @@ fn sim_release_cycles(
 
 /// Mean native release nanoseconds for a single thread with the given
 /// policy (every release switches under [`FlipFlop`], none under
-/// [`Stay`]).
+/// [`NeverSwitch`]).
 fn native_release_ns(iters: u64, flip: bool) -> f64 {
     let lock = if flip {
         reactive_native::ReactiveLock::builder()
@@ -105,7 +96,7 @@ fn native_release_ns(iters: u64, flip: bool) -> f64 {
             .build()
     } else {
         reactive_native::ReactiveLock::builder()
-            .policy(Stay)
+            .policy(NeverSwitch)
             .build()
     };
     // Warm up.
@@ -133,8 +124,8 @@ fn main() {
     // to hand around — the regime the paper's §3.5.5 figure measures.
     let flip = sim_release_cycles(PROCS, sim_iters, FlipFlop, false);
     // Baselines: plain releases in each mode under the same contention.
-    let tts_base = sim_release_cycles(PROCS, sim_iters, Stay, false)[0];
-    let queue_base = sim_release_cycles(PROCS, sim_iters, Stay, true)[1];
+    let tts_base = sim_release_cycles(PROCS, sim_iters, NeverSwitch, false)[0];
+    let queue_base = sim_release_cycles(PROCS, sim_iters, NeverSwitch, true)[1];
     let to_queue = (flip[2] - tts_base).max(0.0);
     let to_tts = (flip[3] - queue_base).max(0.0);
     let round_trip = to_queue + to_tts;

@@ -30,13 +30,12 @@
 
 use alewife_sim::CostModel;
 use lock_service::ArenaMode;
+use reactive_api::{Always, Competitive3, Hysteresis};
 use sim_apps::alg::{FetchOpAlg, LockAlg, WaitAlg};
 use sim_apps::{aq, cgrad, cholesky, countnet, fib, fibheap, gamteb, jacobi, mp3d, mutex_app, tsp};
 use waiting_theory::expected::{worst_case_factor, Family as WaitDist};
 use waiting_theory::optimal::optimal_alpha;
-use waiting_theory::task_system::{
-    worst_case_sequence, AlwaysSwitch, Competitive3, Hysteresis, NeverSwitch, TaskSystem,
-};
+use waiting_theory::task_system::{worst_case_sequence, NeverSwitch, TaskSystem};
 
 use crate::experiments as exp;
 use crate::table;
@@ -568,7 +567,9 @@ fn adaptive_matrix<A: Copy>(
 
 fn fig_3_14() -> Scenario {
     fn run(scale: Scale) -> Outcome {
-        let ts = TaskSystem::two_protocol(8_000.0, 800.0, 150.0, 15.0);
+        let (d_ab, d_ba) = (8_000.0, 800.0);
+        let ts = TaskSystem::two_protocol(d_ab, d_ba, 150.0, 15.0);
+        let competitive3 = || Competitive3::new(d_ab + d_ba);
         let cycles: &[usize] = scale.pick(&[1, 5, 20, 50], &[1, 5, 20]);
         let mut comp = Vec::new();
         let mut always = Vec::new();
@@ -578,8 +579,8 @@ fn fig_3_14() -> Scenario {
             let reqs = worst_case_sequence(&ts, c);
             let opt = ts.offline_opt(&reqs);
             let x = c as f64;
-            comp.push((x, ts.run_online(&mut Competitive3::default(), &reqs) / opt));
-            always.push((x, ts.run_online(&mut AlwaysSwitch, &reqs) / opt));
+            comp.push((x, ts.run_online(&mut competitive3(), &reqs) / opt));
+            always.push((x, ts.run_online(&mut Always, &reqs) / opt));
             never.push((x, ts.run_online(&mut NeverSwitch, &reqs) / opt));
             hyst.push((x, ts.run_online(&mut Hysteresis::new(20, 55), &reqs) / opt));
         }
@@ -588,8 +589,7 @@ fn fig_3_14() -> Scenario {
         // request makes switch-immediately pay a transition per request
         // while the 3-competitive policy stays put.
         let alt: Vec<usize> = (0..500).map(|i| i % 2).collect();
-        let thrash = ts.run_online(&mut AlwaysSwitch, &alt)
-            / ts.run_online(&mut Competitive3::default(), &alt);
+        let thrash = ts.run_online(&mut Always, &alt) / ts.run_online(&mut competitive3(), &alt);
         let mut o = Outcome {
             sweep: "policy \\ adversary cycles",
             headline: format!(

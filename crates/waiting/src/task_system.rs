@@ -7,9 +7,12 @@
 //! synchronization requests under given run-time conditions (Fig 3.13).
 //!
 //! This module provides the exact off-line optimum (dynamic
-//! programming), the nearly-oblivious Borodin-Linial-Saks policy that
-//! yields the 3-competitive protocol-switching rule of §3.4.1, and the
+//! programming), the model's monitor, a driver that runs the policies
+//! reactive objects ship (`reactive_api::Competitive3` with threshold
+//! `d_ab + d_ba` is the 3-competitive rule of §3.4.1), and the
 //! worst-case adversary of Figure 3.14.
+
+use reactive_api::{Decision, Observation, Policy, ProtocolId};
 
 /// A task system with `n` states and `m` task types.
 #[derive(Clone, Debug)]
@@ -26,6 +29,7 @@ impl TaskSystem {
     pub fn new(d: Vec<Vec<f64>>, c: Vec<Vec<f64>>) -> TaskSystem {
         let n = d.len();
         assert!(n > 0, "task system needs at least one state");
+        assert!(n <= 256, "states are named by a u8 ProtocolId");
         assert!(d.iter().all(|r| r.len() == n), "D must be square");
         assert_eq!(c.len(), n, "C must have one row per state");
         let m = c[0].len();
@@ -74,127 +78,54 @@ impl TaskSystem {
         cost.into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// Run an on-line policy over the request sequence; returns its
+    /// The model's monitor: the verdict on serving task `t` in `state`.
+    /// The cheapest state for `t` is `better` and the cost gap is the
+    /// `residual`; a zero gap (including a tie) is optimal.
+    pub fn observe(&self, state: usize, t: usize) -> Observation {
+        let best = (0..self.states())
+            .min_by(|&a, &b| self.c[a][t].total_cmp(&self.c[b][t]))
+            .unwrap();
+        let residual = self.c[state][t] - self.c[best][t];
+        let current = ProtocolId(state as u8);
+        if residual > 0.0 {
+            Observation::suboptimal(current, ProtocolId(best as u8), residual)
+        } else {
+            Observation::optimal(current)
+        }
+    }
+
+    /// Run a switching policy over the request sequence; returns its
     /// total cost (tasks + transitions), starting in state 0.
-    pub fn run_online<P: OnlinePolicy>(&self, policy: &mut P, reqs: &[usize]) -> f64 {
+    ///
+    /// Lookahead one: the policy decides on each request's observation
+    /// before it is served, and an approved switch pays its transition,
+    /// resets the policy, then serves the request in the new state.
+    pub fn run_online(&self, policy: &mut dyn Policy, reqs: &[usize]) -> f64 {
         let mut state = 0usize;
         let mut total = 0.0;
         for &t in reqs {
-            // Lookahead one: the policy may switch before serving.
-            let target = policy.choose(self, state, t);
-            if target != state {
-                total += self.d[state][target];
-                state = target;
+            if let Decision::SwitchTo(target) = policy.decide(&self.observe(state, t)) {
+                let j = target.index();
+                if j != state {
+                    total += self.d[state][j];
+                    state = j;
+                    policy.reset();
+                }
             }
             total += self.c[state][t];
-            policy.served(self, state, t);
         }
         total
     }
 }
 
-/// An on-line policy for a task system.
-pub trait OnlinePolicy {
-    /// Choose the state in which to serve task `t` (lookahead one).
-    fn choose(&mut self, ts: &TaskSystem, state: usize, t: usize) -> usize;
-
-    /// Observe that task `t` was served in `state`.
-    fn served(&mut self, _ts: &TaskSystem, _state: usize, _t: usize) {}
-}
-
-/// Never switch: serve everything in the initial state.
+/// Never switch: serve everything in the initial state. The model's
+/// static baseline; `reactive_api` ships no such policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NeverSwitch;
 
-impl OnlinePolicy for NeverSwitch {
-    fn choose(&mut self, _ts: &TaskSystem, state: usize, _t: usize) -> usize {
-        state
-    }
-}
-
-/// Greedy: switch to the cheapest state for the current task whenever
-/// the residual cost is non-zero (the paper's "switch immediately"
-/// default policy §3.4). Vulnerable to thrashing adversaries.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AlwaysSwitch;
-
-impl OnlinePolicy for AlwaysSwitch {
-    fn choose(&mut self, ts: &TaskSystem, state: usize, t: usize) -> usize {
-        let mut best = state;
-        for j in 0..ts.states() {
-            if ts.c[j][t] < ts.c[best][t] {
-                best = j;
-            }
-        }
-        best
-    }
-}
-
-/// The nearly-oblivious policy of Borodin, Linial & Saks specialized to
-/// two states (§3.4.1): accumulate the residual (task) cost incurred
-/// since entering the current state; switch when it exceeds the
-/// round-trip switching cost `d_ab + d_ba`. This is 3-competitive.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Competitive3 {
-    accumulated: f64,
-}
-
-impl OnlinePolicy for Competitive3 {
-    fn choose(&mut self, ts: &TaskSystem, state: usize, t: usize) -> usize {
-        debug_assert_eq!(ts.states(), 2, "Competitive3 is a two-state policy");
-        let other = 1 - state;
-        let round_trip = ts.d[state][other] + ts.d[other][state];
-        if self.accumulated + ts.c[state][t] > round_trip {
-            self.accumulated = 0.0;
-            other
-        } else {
-            state
-        }
-    }
-
-    fn served(&mut self, ts: &TaskSystem, state: usize, t: usize) {
-        // Residual cost relative to the best state for this task.
-        let best = (0..ts.states()).fold(f64::INFINITY, |m, j| m.min(ts.c[j][t]));
-        self.accumulated += ts.c[state][t] - best;
-    }
-}
-
-/// Hysteresis(x, y) (§3.5.5): switch A→B after `x` *consecutive*
-/// requests that favour B, and B→A after `y` consecutive requests that
-/// favour A. Unlike [`Competitive3`], streak breaks reset the evidence.
-#[derive(Clone, Copy, Debug)]
-pub struct Hysteresis {
-    /// Consecutive high-contention requests required to leave state 0.
-    pub x: u64,
-    /// Consecutive low-contention requests required to leave state 1.
-    pub y: u64,
-    streak: u64,
-}
-
-impl Hysteresis {
-    /// Create a hysteresis policy with thresholds `(x, y)`.
-    pub fn new(x: u64, y: u64) -> Hysteresis {
-        Hysteresis { x, y, streak: 0 }
-    }
-}
-
-impl OnlinePolicy for Hysteresis {
-    fn choose(&mut self, ts: &TaskSystem, state: usize, t: usize) -> usize {
-        debug_assert_eq!(ts.states(), 2);
-        let other = 1 - state;
-        let suboptimal = ts.c[state][t] > ts.c[other][t];
-        if suboptimal {
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-        }
-        let limit = if state == 0 { self.x } else { self.y };
-        if self.streak >= limit {
-            self.streak = 0;
-            other
-        } else {
-            state
-        }
+impl Policy for NeverSwitch {
+    fn decide(&mut self, _obs: &Observation) -> Decision {
+        Decision::Stay
     }
 }
 
@@ -219,12 +150,18 @@ pub fn worst_case_sequence(ts: &TaskSystem, cycles: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reactive_api::{Always, Competitive3, Hysteresis};
 
     fn paper_system() -> TaskSystem {
         // §3.5.5 empirical numbers: TTS→MCS costs ~8000 cycles, MCS→TTS
         // ~800; TTS under high contention wastes ~150/req, MCS under low
         // contention ~15/req.
         TaskSystem::two_protocol(8_000.0, 800.0, 150.0, 15.0)
+    }
+
+    /// The 3-competitive policy at the paper system's round trip.
+    fn competitive3() -> Competitive3 {
+        Competitive3::new(8_000.0 + 800.0)
     }
 
     #[test]
@@ -249,8 +186,8 @@ mod tests {
         let reqs: Vec<usize> = (0..500).map(|i| (i / 50) % 2).collect();
         for cost in [
             ts.run_online(&mut NeverSwitch, &reqs),
-            ts.run_online(&mut AlwaysSwitch, &reqs),
-            ts.run_online(&mut Competitive3::default(), &reqs),
+            ts.run_online(&mut Always, &reqs),
+            ts.run_online(&mut competitive3(), &reqs),
             ts.run_online(&mut Hysteresis::new(20, 55), &reqs),
         ] {
             assert!(cost.is_finite() && cost >= 0.0);
@@ -261,7 +198,7 @@ mod tests {
     fn competitive3_is_3_competitive_on_worst_case() {
         let ts = paper_system();
         let reqs = worst_case_sequence(&ts, 10);
-        let online = ts.run_online(&mut Competitive3::default(), &reqs);
+        let online = ts.run_online(&mut competitive3(), &reqs);
         let opt = ts.offline_opt(&reqs);
         assert!(opt > 0.0);
         let ratio = online / opt;
@@ -275,12 +212,12 @@ mod tests {
 
     #[test]
     fn always_switch_thrashes_on_alternating_load() {
-        // The adversary alternates every request: AlwaysSwitch pays a
+        // The adversary alternates every request: Always pays a
         // transition per request while Competitive3 stays put mostly.
         let ts = paper_system();
         let reqs: Vec<usize> = (0..1000).map(|i| i % 2).collect();
-        let always = ts.run_online(&mut AlwaysSwitch, &reqs);
-        let comp = ts.run_online(&mut Competitive3::default(), &reqs);
+        let always = ts.run_online(&mut Always, &reqs);
+        let comp = ts.run_online(&mut competitive3(), &reqs);
         assert!(
             always > comp,
             "always-switch ({always}) should lose to 3-competitive ({comp})"
@@ -293,7 +230,7 @@ mod tests {
         // end up near opt (within the 3x bound, and way below staying).
         let ts = paper_system();
         let reqs = vec![1usize; 2_000];
-        let comp = ts.run_online(&mut Competitive3::default(), &reqs);
+        let comp = ts.run_online(&mut competitive3(), &reqs);
         let never = ts.run_online(&mut NeverSwitch, &reqs);
         let opt = ts.offline_opt(&reqs);
         assert!(
@@ -313,6 +250,48 @@ mod tests {
         let cost = ts.run_online(&mut pol, &reqs);
         // Only the blip's residual cost, no transitions.
         assert_eq!(cost, 150.0);
+    }
+
+    /// Three states: task 0 favours state 0, task 1 ties states 1 and
+    /// 2, task 2 favours state 2.
+    fn three_state_system() -> TaskSystem {
+        let d = vec![
+            vec![0.0, 10.0, 20.0],
+            vec![10.0, 0.0, 10.0],
+            vec![20.0, 10.0, 0.0],
+        ];
+        let c = vec![
+            vec![0.0, 8.0, 9.0],
+            vec![5.0, 2.0, 4.0],
+            vec![5.0, 2.0, 1.0],
+        ];
+        TaskSystem::new(d, c)
+    }
+
+    #[test]
+    fn observe_picks_cheapest_state_and_ties_are_optimal() {
+        let ts = three_state_system();
+        let p = ProtocolId;
+        assert_eq!(ts.observe(0, 0), Observation::optimal(p(0)));
+        assert_eq!(ts.observe(1, 0), Observation::suboptimal(p(1), p(0), 5.0));
+        assert_eq!(ts.observe(0, 2), Observation::suboptimal(p(0), p(2), 8.0));
+        assert_eq!(ts.observe(1, 2), Observation::suboptimal(p(1), p(2), 3.0));
+        // Task 1 ties states 1 and 2: either is optimal, and state 0
+        // is pointed at the first of them.
+        assert_eq!(ts.observe(1, 1), Observation::optimal(p(1)));
+        assert_eq!(ts.observe(2, 1), Observation::optimal(p(2)));
+        assert_eq!(ts.observe(0, 1), Observation::suboptimal(p(0), p(1), 6.0));
+    }
+
+    #[test]
+    fn run_online_matches_hand_totals_on_three_states() {
+        let ts = three_state_system();
+        let reqs = [1, 2, 1, 0, 0];
+        // Always: 0→1 (10) serve 2; 1→2 (10) serve 1; tie, stay, serve
+        // 2; 2→0 (20) serve 0; serve 0.
+        assert_eq!(ts.run_online(&mut Always, &reqs), 45.0);
+        // NeverSwitch serves everything in state 0: 8 + 9 + 8 + 0 + 0.
+        assert_eq!(ts.run_online(&mut NeverSwitch, &reqs), 25.0);
     }
 
     #[test]
