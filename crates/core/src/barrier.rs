@@ -85,12 +85,6 @@ impl<'m> ReactiveBarrierBuilder<'m> {
         self
     }
 
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
     /// Report every committed protocol change to `sink`.
     pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
         self.sink = Some(sink);

@@ -29,14 +29,19 @@
 //! optimization of keeping the fetch-and-op value "in a common location
 //! so updates are not necessary" is used: all three protocols mutate the
 //! same counter word.
+//!
+//! The two lock-based protocols run the passive [`TtsLock`] and
+//! [`McsLock`] from `sync_protocols::spin` (built with `over` on one
+//! `[tts_flag, queue_tail]` line), exactly as the reactive lock does;
+//! only the combining tree's root consensus is local to this module.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::fetch_op::{CombiningTree, FetchOp, RETRY_SENTINEL};
 use sync_protocols::spin::{
-    dec, enc, Backoff, FREE, GO, INITIAL_DELAY, INVALID_PTR, INVALID_STATUS, NIL, WAITING,
+    Backoff, Lock, McsLock, TtsLock, FREE, GO, INVALID_PTR, INVALID_STATUS, NIL,
 };
 
 use crate::policy::{
@@ -52,9 +57,6 @@ pub const PROTO_TREE: ProtocolId = ProtocolId(2);
 
 const MODE_TTS: u64 = PROTO_TTS.0 as u64;
 const MODE_QUEUE: u64 = PROTO_QUEUE.0 as u64;
-
-const QN_NEXT: u64 = 0;
-const QN_STATUS: u64 = 1;
 
 /// Failed `test&set`s per acquisition signalling high contention.
 pub const TTS_RETRY_LIMIT: u64 = 4;
@@ -87,12 +89,6 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
     /// Use the given switching policy (default: [`Always`]).
     pub fn policy(mut self, p: impl Policy + 'static) -> Self {
         self.policy = Box::new(p);
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
         self
     }
 
@@ -131,7 +127,8 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
             kernel = kernel.sink(sink);
         }
         ReactiveFetchOp {
-            locks,
+            tts: TtsLock::over(locks, self.max_procs),
+            queue: McsLock::over(m, locks.plus(1)),
             mode,
             var,
             root,
@@ -139,8 +136,6 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
             kernel: Rc::new(kernel.build()),
             empty_streak: Rc::new(Cell::new(0)),
             low_combine_streak: Rc::new(Cell::new(0)),
-            pool: Rc::new(RefCell::new(vec![Vec::new(); m.nodes()])),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -148,8 +143,10 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
 /// The reactive fetch-and-op object. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct ReactiveFetchOp {
-    /// `[tts_flag, queue_tail]` on one line.
-    locks: Addr,
+    /// The two lock sub-protocols, over `[tts_flag, queue_tail]` on one
+    /// line.
+    tts: TtsLock,
+    queue: McsLock,
     /// Mode hint on its own line.
     mode: Addr,
     /// The fetch-and-op variable, shared by all three protocols.
@@ -160,8 +157,6 @@ pub struct ReactiveFetchOp {
     kernel: Rc<SimKernel>,
     empty_streak: Rc<Cell<u64>>,
     low_combine_streak: Rc<Cell<u64>>,
-    pool: Rc<RefCell<Vec<Vec<Addr>>>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveFetchOp {
@@ -192,14 +187,6 @@ impl ReactiveFetchOp {
             .build()
     }
 
-    fn tts(&self) -> Addr {
-        self.locks
-    }
-
-    fn tail(&self) -> Addr {
-        self.locks.plus(1)
-    }
-
     fn root_lock(&self) -> Addr {
         self.root
     }
@@ -216,18 +203,6 @@ impl ReactiveFetchOp {
     /// Number of protocol changes performed so far.
     pub fn switches(&self) -> u64 {
         self.kernel.switches()
-    }
-
-    fn take_qnode(&self, cpu: &Cpu) -> Addr {
-        let mut pool = self.pool.borrow_mut();
-        match pool[cpu.node()].pop() {
-            Some(a) => a,
-            None => cpu.alloc_on(cpu.node(), 2),
-        }
-    }
-
-    fn put_qnode(&self, cpu: &Cpu, q: Addr) {
-        self.pool.borrow_mut()[cpu.node()].push(q);
     }
 
     /// Atomically add `delta`, returning the previous value. Dispatches
@@ -251,24 +226,7 @@ impl ReactiveFetchOp {
     // ------------------------------------------------------------------
 
     async fn try_tts(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures: u64 = 0;
-        loop {
-            if cpu.read(self.tts()).await == FREE {
-                if cpu.test_and_set(self.tts()).await == FREE {
-                    break;
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts(), |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
         // Critical section: apply the op.
         let old = cpu.read(self.var).await;
         cpu.write(self.var, old.wrapping_add(delta)).await;
@@ -283,7 +241,7 @@ impl ReactiveFetchOp {
                 // Switch TTS -> queue: the kernel validates the queue
                 // and leaves TTS busy; releasing through the new
                 // protocol is ours.
-                let q = self.take_qnode(cpu);
+                let q = self.queue.take_qnode(cpu);
                 self.kernel
                     .switch(
                         &FopSwitch {
@@ -295,8 +253,7 @@ impl ReactiveFetchOp {
                         PROTO_QUEUE,
                     )
                     .await;
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
+                self.queue.release_qnode(cpu, q).await;
             }
             Some(target) => {
                 // Switch TTS -> tree directly: the kernel validates the
@@ -306,9 +263,7 @@ impl ReactiveFetchOp {
                     .switch(&FopSwitch { f: self, q: None }, cpu, PROTO_TTS, PROTO_TREE)
                     .await;
             }
-            None => {
-                cpu.write(self.tts(), FREE).await;
-            }
+            None => self.tts.release(cpu, ()).await,
         }
         Some(old)
     }
@@ -318,26 +273,25 @@ impl ReactiveFetchOp {
     // ------------------------------------------------------------------
 
     async fn try_queue(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let q = self.take_qnode(cpu);
-        cpu.write(q.plus(QN_NEXT), NIL).await;
+        // The enqueue runs step by step: the waiting time is measured
+        // from between clearing `next` and swapping the tail.
+        let q = self.queue.take_qnode(cpu);
+        self.queue.clear_next(cpu, q).await;
         let t_enqueue = cpu.now();
-        let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-        let mut empty = false;
-        if pred == NIL {
-            empty = true;
-        } else if pred != INVALID_PTR {
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            let status = cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
+        let pred = self.queue.swap_in(cpu, q).await;
+        let empty = pred == NIL;
+        if pred == INVALID_PTR {
+            self.queue.invalidate_from(cpu, q).await;
+            return None;
+        }
+        if !empty {
+            self.queue.link(cpu, q, pred).await;
+            let status = self.queue.wait_status(cpu, q).await;
             if status != GO {
                 debug_assert_eq!(status, INVALID_STATUS);
-                self.put_qnode(cpu, q);
+                self.queue.put_qnode(cpu, q);
                 return None;
             }
-        } else {
-            self.invalidate_queue_from(cpu, q).await;
-            self.put_qnode(cpu, q);
-            return None;
         }
         let wait_time = cpu.now() - t_enqueue;
 
@@ -380,7 +334,7 @@ impl ReactiveFetchOp {
                         PROTO_TTS,
                     )
                     .await;
-                cpu.write(self.tts(), FREE).await;
+                self.tts.release(cpu, ()).await;
             }
             Some(target) => {
                 // Switch queue -> tree: validate the root, invalidate
@@ -398,10 +352,7 @@ impl ReactiveFetchOp {
                     )
                     .await;
             }
-            None => {
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
-            }
+            None => self.queue.release_qnode(cpu, q).await,
         }
         Some(old)
     }
@@ -454,7 +405,7 @@ impl ReactiveFetchOp {
                 match target {
                     Some(t) if t == PROTO_QUEUE => {
                         // Switch tree -> queue.
-                        let q = self.take_qnode(cpu);
+                        let q = self.queue.take_qnode(cpu);
                         self.kernel
                             .switch(
                                 &FopSwitch {
@@ -466,8 +417,7 @@ impl ReactiveFetchOp {
                                 t,
                             )
                             .await;
-                        self.release_queue(cpu, q).await;
-                        self.put_qnode(cpu, q);
+                        self.queue.release_qnode(cpu, q).await;
                     }
                     Some(t) => {
                         // Switch tree -> TTS directly: the queue is
@@ -476,7 +426,7 @@ impl ReactiveFetchOp {
                         self.kernel
                             .switch(&FopSwitch { f: self, q: None }, cpu, PROTO_TREE, t)
                             .await;
-                        cpu.write(self.tts(), FREE).await;
+                        self.tts.release(cpu, ()).await;
                     }
                     None => {}
                 }
@@ -506,53 +456,6 @@ impl ReactiveFetchOp {
     async fn unlock_root(&self, cpu: &Cpu) {
         cpu.write(self.root_lock(), 0).await;
     }
-
-    // ------------------------------------------------------------------
-    // Shared queue-lock plumbing (same as the reactive lock)
-    // ------------------------------------------------------------------
-
-    async fn release_queue(&self, cpu: &Cpu, q: Addr) {
-        let next = cpu.read(q.plus(QN_NEXT)).await;
-        if next == NIL {
-            let old_tail = cpu.fetch_and_store(self.tail(), NIL).await;
-            if old_tail == enc(q) {
-                return;
-            }
-            let usurper = cpu.fetch_and_store(self.tail(), old_tail).await;
-            let next = cpu.poll_until(q.plus(QN_NEXT), |v| v != NIL).await;
-            if usurper != NIL {
-                cpu.write(dec(usurper).plus(QN_NEXT), next).await;
-            } else {
-                cpu.write(dec(next).plus(QN_STATUS), GO).await;
-            }
-        } else {
-            cpu.write(dec(next).plus(QN_STATUS), GO).await;
-        }
-    }
-
-    async fn acquire_invalid_queue(&self, cpu: &Cpu, q: Addr) {
-        loop {
-            cpu.write(q.plus(QN_NEXT), NIL).await;
-            let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-            if pred == INVALID_PTR {
-                return;
-            }
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
-        }
-    }
-
-    async fn invalidate_queue_from(&self, cpu: &Cpu, head: Addr) {
-        let tail = cpu.fetch_and_store(self.tail(), INVALID_PTR).await;
-        let mut head = head;
-        while enc(head) != tail {
-            let next = cpu.poll_until(head.plus(QN_NEXT), |v| v != NIL).await;
-            cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
-            head = dec(next);
-        }
-        cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
-    }
 }
 
 /// The fetch-op's [`SwitchableObject`] hooks for all six ordered
@@ -573,7 +476,7 @@ impl SwitchableObject for FopSwitch<'_> {
         match to {
             PROTO_QUEUE => {
                 let q = self.q.expect("entering the queue protocol needs a node");
-                self.f.acquire_invalid_queue(cpu, q).await;
+                self.f.queue.acquire_invalid(cpu, q).await;
             }
             PROTO_TREE => {
                 // Set the root's validity flag under its lock.
@@ -594,8 +497,7 @@ impl SwitchableObject for FopSwitch<'_> {
             let q = self
                 .q
                 .expect("leaving the queue protocol needs the held node");
-            self.f.invalidate_queue_from(cpu, q).await;
-            self.f.put_qnode(cpu, q);
+            self.f.queue.invalidate_from(cpu, q).await;
         }
         // An invalid TTS flag is left BUSY; the tree's `tree_valid` was
         // cleared at decision time under the root lock. Both are
@@ -641,6 +543,7 @@ mod tests {
     use super::*;
     use crate::policy::{Decision, SwitchLog};
     use alewife_sim::{Config, Machine};
+    use std::cell::RefCell;
 
     /// All returns must form the exact set {0..procs*iters}.
     fn hammer(procs: usize, iters: u64, think: u64) -> (u64, u64) {

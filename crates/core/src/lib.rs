@@ -21,6 +21,11 @@
 //! * [`fetch_op`] — the reactive fetch-and-op (§3.3.2, Appendix C):
 //!   selects among a TTS-lock-protected counter, a queue-lock-protected
 //!   counter, and a software combining tree.
+//!
+//!   Both hold the passive `sync_protocols::spin::{TtsLock, McsLock}`
+//!   as their sub-locks (built with `over` on one shared line) and add
+//!   only the monitor and the switch hooks; there is no second TTS or
+//!   MCS implementation on the simulator.
 //! * [`framework`] — the protocol-object framework of §3.2: protocol
 //!   objects, the protocol manager, and a C-serializability checker used
 //!   to validate histories in tests.
@@ -28,7 +33,8 @@
 //!   `Lpoll`, then block; plus switch-spinning variants for
 //!   multithreaded nodes.
 //! * [`mp`] — reactive selection between shared-memory and
-//!   message-passing protocols (§3.6).
+//!   message-passing protocols (§3.6); the shared-memory side is the
+//!   same `TtsLock` sub-lock.
 //! * [`robust`] — the robust reactive lock: run-time selection between
 //!   an abortable MCS queue and a crash-recoverable Peterson tree,
 //!   with crash-driven switching and journal-backed mode-change

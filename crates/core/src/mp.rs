@@ -16,6 +16,10 @@
 //!   Protocol changes transfer the counter value; the changer performs
 //!   them while holding the currently-valid consensus object.
 //!
+//! The shared-memory protocol of both is the passive [`TtsLock`] from
+//! `sync_protocols::spin`, built with [`TtsLock::over`] on the object's
+//! flag and acquired through [`TtsLock::acquire_while`].
+//!
 //! Both are built through builders and speak the shared reactive API:
 //! monitors emit [`Observation`]s, the pluggable [`Policy`] decides, and
 //! committed changes are counted and reported to the configured
@@ -26,7 +30,7 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::mp::{MpCombiningTree, MpCounter, MpQueueLock};
-use sync_protocols::spin::{Backoff, FREE, INITIAL_DELAY};
+use sync_protocols::spin::{Lock, TtsLock, FREE};
 
 use crate::policy::{
     Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
@@ -84,12 +88,6 @@ impl<'m> ReactiveMpLockBuilder<'m> {
         self
     }
 
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
     /// Report every committed protocol change to `sink`.
     pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
         self.sink = Some(sink);
@@ -114,12 +112,11 @@ impl<'m> ReactiveMpLockBuilder<'m> {
             kernel = kernel.sink(sink);
         }
         ReactiveMpLock {
-            tts,
+            tts: TtsLock::over(tts, self.max_procs),
             mode,
             mp: MpQueueLock::with_validity(m, self.manager, false),
             kernel: Rc::new(kernel.build()),
             empty_streak: Rc::new(Cell::new(0)),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -128,18 +125,17 @@ impl<'m> ReactiveMpLockBuilder<'m> {
 /// and a message-passing queue-lock protocol (§3.6).
 #[derive(Clone)]
 pub struct ReactiveMpLock {
-    tts: Addr,
+    tts: TtsLock,
     mode: Addr,
     mp: MpQueueLock,
     kernel: Rc<SimKernel>,
     empty_streak: Rc<Cell<u64>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveMpLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactiveMpLock")
-            .field("tts", &self.tts)
+            .field("tts", &self.tts.flag())
             .finish()
     }
 }
@@ -185,34 +181,18 @@ impl ReactiveMpLock {
     }
 
     async fn acquire_tts(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures = 0u64;
-        loop {
-            if cpu.read(self.tts).await == FREE {
-                if cpu.test_and_set(self.tts).await == FREE {
-                    self.empty_streak.set(0);
-                    let obs = if failures > TTS_RETRY_LIMIT {
-                        Observation::suboptimal(PROTO_TTS, PROTO_MP, 150.0)
-                    } else {
-                        Observation::optimal(PROTO_TTS)
-                    };
-                    return Some(if self.kernel.observe(&obs).is_some() {
-                        MpReleaseMode::TtsToMp
-                    } else {
-                        MpReleaseMode::Tts
-                    });
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts, |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
+        self.empty_streak.set(0);
+        let obs = if failures > TTS_RETRY_LIMIT {
+            Observation::suboptimal(PROTO_TTS, PROTO_MP, 150.0)
+        } else {
+            Observation::optimal(PROTO_TTS)
+        };
+        Some(if self.kernel.observe(&obs).is_some() {
+            MpReleaseMode::TtsToMp
+        } else {
+            MpReleaseMode::Tts
+        })
     }
 
     async fn acquire_mp(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
@@ -239,11 +219,8 @@ impl ReactiveMpLock {
     /// Release, performing any protocol change decided at acquire time.
     pub async fn release(&self, cpu: &Cpu, rm: MpReleaseMode) {
         match rm {
-            MpReleaseMode::Tts => cpu.write(self.tts, FREE).await,
-            MpReleaseMode::Mp => {
-                use sync_protocols::spin::Lock as _;
-                self.mp.release(cpu, ()).await;
-            }
+            MpReleaseMode::Tts => self.tts.release(cpu, ()).await,
+            MpReleaseMode::Mp => self.mp.release(cpu, ()).await,
             MpReleaseMode::TtsToMp => {
                 // The kernel validates the manager with the lock held
                 // by us and flips the hint (TTS stays BUSY); we then
@@ -251,7 +228,6 @@ impl ReactiveMpLock {
                 self.kernel
                     .switch(&MpLockSwitch { lock: self }, cpu, PROTO_TTS, PROTO_MP)
                     .await;
-                use sync_protocols::spin::Lock as _;
                 self.mp.release(cpu, ()).await;
             }
             MpReleaseMode::MpToTts => {
@@ -261,7 +237,7 @@ impl ReactiveMpLock {
                 self.kernel
                     .switch(&MpLockSwitch { lock: self }, cpu, PROTO_MP, PROTO_TTS)
                     .await;
-                cpu.write(self.tts, FREE).await;
+                self.tts.release(cpu, ()).await;
             }
         }
     }
@@ -342,12 +318,6 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
         self
     }
 
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
     /// Report every committed protocol change to `sink`.
     pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
         self.sink = Some(sink);
@@ -376,14 +346,13 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
             kernel = kernel.sink(sink);
         }
         ReactiveMpFetchOp {
-            tts,
+            tts: TtsLock::over(tts, self.max_procs),
             var,
             mode,
             central: MpCounter::with_validity(m, self.manager, false),
             tree: MpCombiningTree::with_validity(m, self.manager, self.max_procs, false),
             kernel: Rc::new(kernel.build()),
             calm_streak: Rc::new(Cell::new(0)),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -399,14 +368,13 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
 /// consensus object.
 #[derive(Clone)]
 pub struct ReactiveMpFetchOp {
-    tts: Addr,
+    tts: TtsLock,
     var: Addr,
     mode: Addr,
     central: MpCounter,
     tree: MpCombiningTree,
     kernel: Rc<SimKernel>,
     calm_streak: Rc<Cell<u64>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveMpFetchOp {
@@ -486,24 +454,7 @@ impl ReactiveMpFetchOp {
     }
 
     async fn try_tts(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures = 0u64;
-        loop {
-            if cpu.read(self.tts).await == FREE {
-                if cpu.test_and_set(self.tts).await == FREE {
-                    break;
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts, |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
         let old = cpu.read(self.var).await;
         cpu.write(self.var, old.wrapping_add(delta)).await;
         let obs = if failures > TTS_RETRY_LIMIT {
@@ -517,9 +468,7 @@ impl ReactiveMpFetchOp {
                     .switch(&MpFopSwitch { f: self }, cpu, PROTO_TTS, target)
                     .await;
             }
-            None => {
-                cpu.write(self.tts, FREE).await;
-            }
+            None => self.tts.release(cpu, ()).await,
         }
         Some(old)
     }
@@ -552,7 +501,7 @@ impl ReactiveMpFetchOp {
                 .try_switch(&MpFopSwitch { f: self }, cpu, PROTO_MP, target)
                 .await;
             if won && target == PROTO_TTS {
-                cpu.write(self.tts, FREE).await;
+                self.tts.release(cpu, ()).await;
             }
         }
         Some(old)
@@ -582,7 +531,7 @@ impl ReactiveMpFetchOp {
                     .try_switch(&MpFopSwitch { f: self }, cpu, PROTO_MP_TREE, target)
                     .await;
                 if won && target == PROTO_TTS {
-                    cpu.write(self.tts, FREE).await;
+                    self.tts.release(cpu, ()).await;
                 }
             }
         }
@@ -676,9 +625,16 @@ mod tests {
                 }
             });
         }
-        m.run();
+        let elapsed = m.run();
         assert_eq!(m.live_tasks(), 0, "reactive MP lock deadlock");
         assert_eq!(m.read_word(shared), 200);
+        // Pins the event stream (the TTS path runs through
+        // `TtsLock::acquire_while`): any change to the simulated
+        // operations moves one of these.
+        assert_eq!(
+            (elapsed, m.stats().sim_events, lock.switches()),
+            (32_207, 3_422, 1)
+        );
     }
 
     #[test]
@@ -748,12 +704,17 @@ mod tests {
                 }
             });
         }
-        m.run();
+        let elapsed = m.run();
         assert_eq!(m.live_tasks(), 0, "reactive MP fetch-op deadlock");
         let mut got = seen.borrow().clone();
         got.sort_unstable();
         assert_eq!(got, (0..240u64).collect::<Vec<_>>());
         assert_eq!(f.value(&m), 240);
+        // Pins the event stream across all three protocols.
+        assert_eq!(
+            (elapsed, m.stats().sim_events, f.switches()),
+            (161_353, 22_659, 32)
+        );
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl ReactiveLockBuilder {
         self
     }
 
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy + Send>) -> Self {
-        self.policy = Some(p);
-        self
-    }
-
     /// Report every committed protocol change to `sink`.
     pub fn instrument(mut self, sink: Arc<dyn Instrument + Send + Sync>) -> Self {
         self.sink = Some(sink);

@@ -7,7 +7,10 @@
 //! * **Spin locks** — [`spin::TestAndSetLock`] (test&set with randomized
 //!   exponential backoff), [`spin::TtsLock`] (test-and-test-and-set with
 //!   backoff), and [`spin::McsLock`] (the Mellor-Crummey & Scott queue
-//!   lock, in the `fetch&store`-only variant Alewife used).
+//!   lock, in the `fetch&store`-only variant Alewife used). The
+//!   reactive objects in `reactive-core` compose the latter two as
+//!   their sub-locks (`TtsLock::over`, `McsLock::over`) rather than
+//!   carrying copies.
 //! * **Fetch-and-op** — [`fetch_op::LockFetchOp`] (a counter protected by
 //!   any lock) and [`fetch_op::CombiningTree`] (the Goodman, Vernon &
 //!   Woest software combining tree, §3.1.2 / Appendix C).

@@ -13,6 +13,13 @@
 //!   `fetch&store`-only variant (Alewife had no `compare&swap`), with the
 //!   usurper race handling of Figure 3.28. Each waiter spins on a flag in
 //!   its own queue node, so a release invalidates exactly one cache.
+//!
+//! The TTS and MCS protocols here are the only ones on the simulator:
+//! `reactive-core`'s reactive lock and fetch-and-ops build their
+//! sub-locks with [`TtsLock::over`] and [`McsLock::over`] on their own
+//! lock words, acquire TTS through [`TtsLock::acquire_while`] (which
+//! gives up when the mode hint moves), and change protocol with
+//! [`McsLock::acquire_invalid`] / [`McsLock::invalidate_from`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -162,14 +169,12 @@ pub struct TtsLock {
 impl TtsLock {
     /// Create a lock homed on `home`, with backoff sized for `max_procs`.
     pub fn new(m: &Machine, home: usize, max_procs: usize) -> TtsLock {
-        TtsLock {
-            flag: m.alloc_on(home, 1),
-            max_delay: backoff_cap(max_procs),
-        }
+        TtsLock::over(m.alloc_on(home, 1), max_procs)
     }
 
-    /// Build a TTS lock over an existing lock word (used by the reactive
-    /// lock, whose sub-locks share a line).
+    /// Build a TTS lock over an existing lock word (the reactive
+    /// objects' TTS sub-lock, whose flag may share a line with the queue
+    /// tail, §3.7.3).
     pub fn over(flag: Addr, max_procs: usize) -> TtsLock {
         TtsLock {
             flag,
@@ -182,20 +187,32 @@ impl TtsLock {
         self.flag
     }
 
-    /// One acquisition attempt loop, also counting failed `test&set`s;
-    /// returns the number of failures (the reactive lock's contention
-    /// estimate, §3.3.1).
-    pub async fn acquire_counting(&self, cpu: &Cpu) -> u64 {
-        let mut b = Backoff::new(INITIAL_DELAY, self.max_delay);
+    /// The reactive objects' TTS acquisition (Figure 3.28's
+    /// `acquire_tts`): acquire while the mode hint at `mode` reads
+    /// `valid_mode`. Returns the number of failed `test&set`s (the
+    /// contention estimate, §3.3.1), or `None` once the hint moves away.
+    ///
+    /// An invalid TTS flag is pinned `BUSY` forever, so the read-poll
+    /// wakes every 400 cycles to re-read the hint; the passive
+    /// [`Lock::acquire`] would spin on such a flag indefinitely.
+    pub async fn acquire_while(&self, cpu: &Cpu, mode: Addr, valid_mode: u64) -> Option<u64> {
+        let mut backoff = Backoff::new(INITIAL_DELAY, self.max_delay);
         let mut failures = 0;
         loop {
-            // Read-poll the cached copy until the lock looks free.
-            spin_wait_until(cpu, self.flag, |v| v == FREE).await;
-            if cpu.test_and_set(self.flag).await == FREE {
-                return failures;
+            if cpu.read(self.flag).await == FREE {
+                if cpu.test_and_set(self.flag).await == FREE {
+                    return Some(failures);
+                }
+                failures += 1;
+                backoff.pause(cpu).await;
+            } else {
+                let deadline = cpu.now() + 400;
+                cpu.poll_until_deadline(self.flag, |v| v == FREE, deadline)
+                    .await;
             }
-            failures += 1;
-            b.pause(cpu).await;
+            if cpu.read(mode).await != valid_mode {
+                return None;
+            }
         }
     }
 }
@@ -204,7 +221,15 @@ impl Lock for TtsLock {
     type Token = ();
 
     async fn acquire(&self, cpu: &Cpu) {
-        self.acquire_counting(cpu).await;
+        let mut b = Backoff::new(INITIAL_DELAY, self.max_delay);
+        loop {
+            // Read-poll the cached copy until the lock looks free.
+            spin_wait_until(cpu, self.flag, |v| v == FREE).await;
+            if cpu.test_and_set(self.flag).await == FREE {
+                return;
+            }
+            b.pause(cpu).await;
+        }
     }
 
     async fn release(&self, cpu: &Cpu, _t: ()) {
@@ -219,6 +244,12 @@ impl Lock for TtsLock {
 /// The MCS list-based queue lock (Figure 3.1), `fetch&store`-only
 /// variant. Queue nodes are pooled per requesting node so waiters spin
 /// on flags homed at their own processor.
+///
+/// Besides the passive [`Lock`] impl, the steps are exposed one by one
+/// for the reactive objects, whose queue sub-lock can be *invalid*
+/// (tail holding [`INVALID_PTR`]) and which monitor between the steps:
+/// [`McsLock::acquire_invalid`] and [`McsLock::invalidate_from`] are
+/// Figure 3.29's protocol-change halves.
 #[derive(Clone)]
 pub struct McsLock {
     tail: Addr,
@@ -238,8 +269,14 @@ const QN_STATUS: u64 = 1;
 impl McsLock {
     /// Create a queue lock whose tail pointer is homed on `home`.
     pub fn new(m: &Machine, home: usize) -> McsLock {
+        McsLock::over(m, m.alloc_on(home, 1))
+    }
+
+    /// Build a queue lock over an existing tail word (the reactive
+    /// objects' queue sub-lock, sharing a line with the TTS flag).
+    pub fn over(m: &Machine, tail: Addr) -> McsLock {
         McsLock {
-            tail: m.alloc_on(home, 1),
+            tail,
             pool: Rc::new(RefCell::new(vec![Vec::new(); m.nodes()])),
         }
     }
@@ -264,12 +301,30 @@ impl McsLock {
         self.pool.borrow_mut()[cpu.node()].push(q);
     }
 
-    /// The core enqueue step: returns `(qnode, predecessor_word)`.
+    /// Clear `q`'s `next` pointer (the first enqueue step).
+    pub async fn clear_next(&self, cpu: &Cpu, q: Addr) {
+        cpu.write(q.plus(QN_NEXT), NIL).await;
+    }
+
+    /// Swap `q` in as the tail (the second enqueue step); returns the
+    /// predecessor word (`NIL`, `INVALID_PTR`, or an encoded node).
+    pub async fn swap_in(&self, cpu: &Cpu, q: Addr) -> u64 {
+        cpu.fetch_and_store(self.tail, enc(q)).await
+    }
+
+    /// The whole enqueue: returns `(qnode, predecessor_word)`.
     pub async fn enqueue(&self, cpu: &Cpu) -> (Addr, u64) {
         let q = self.take_qnode(cpu);
-        cpu.write(q.plus(QN_NEXT), NIL).await;
-        let pred = cpu.fetch_and_store(self.tail, enc(q)).await;
+        self.clear_next(cpu, q).await;
+        let pred = self.swap_in(cpu, q).await;
         (q, pred)
+    }
+
+    /// Link `q` behind the node encoded in `pred`, with its status reset
+    /// to `WAITING` first so the predecessor's signal cannot be lost.
+    pub async fn link(&self, cpu: &Cpu, q: Addr, pred: u64) {
+        cpu.write(q.plus(QN_STATUS), WAITING).await;
+        cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
     }
 
     /// Wait on `q`'s status flag until signalled; returns the status.
@@ -304,6 +359,40 @@ impl McsLock {
         }
         self.put_qnode(cpu, q);
     }
+
+    /// Figure 3.29's `acquire_invalid_queue`: install `q` as the head
+    /// and holder of the (currently invalid) queue, making the protocol
+    /// valid-and-held. Racers that piled onto the invalid tail first are
+    /// waited out: we link behind them until the `INVALID_STATUS` signal
+    /// ripples to us, then retry.
+    pub async fn acquire_invalid(&self, cpu: &Cpu, q: Addr) {
+        loop {
+            self.clear_next(cpu, q).await;
+            let pred = self.swap_in(cpu, q).await;
+            if pred == INVALID_PTR {
+                return;
+            }
+            self.link(cpu, q, pred).await;
+            self.wait_status(cpu, q).await;
+        }
+    }
+
+    /// Figure 3.29's `invalidate_queue`: swap the tail to `INVALID_PTR`
+    /// and walk from `head` (the caller's node: the holder's, or one
+    /// just swapped onto an invalid tail) to the old tail, signalling
+    /// every waiter `INVALID_STATUS` so it retries through the mode
+    /// hint. `head` returns to the pool.
+    pub async fn invalidate_from(&self, cpu: &Cpu, head: Addr) {
+        let tail = cpu.fetch_and_store(self.tail, INVALID_PTR).await;
+        let mut node = head;
+        while enc(node) != tail {
+            let next = spin_wait_until(cpu, node.plus(QN_NEXT), |v| v != NIL).await;
+            cpu.write(node.plus(QN_STATUS), INVALID_STATUS).await;
+            node = dec(next);
+        }
+        cpu.write(node.plus(QN_STATUS), INVALID_STATUS).await;
+        self.put_qnode(cpu, head);
+    }
 }
 
 impl Lock for McsLock {
@@ -312,8 +401,7 @@ impl Lock for McsLock {
     async fn acquire(&self, cpu: &Cpu) -> Addr {
         let (q, pred) = self.enqueue(cpu).await;
         if pred != NIL {
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
+            self.link(cpu, q, pred).await;
             self.wait_status(cpu, q).await;
         }
         q
@@ -437,6 +525,116 @@ mod tests {
             t_mcs < t_ts,
             "MCS ({t_mcs}) should beat test&set ({t_ts}) at 16 procs"
         );
+    }
+
+    #[test]
+    fn invalidate_from_bounces_every_waiter() {
+        let m = Machine::new(Config::default().nodes(4));
+        let lock = McsLock::new(&m, 0);
+        let statuses = Rc::new(RefCell::new(Vec::new()));
+        let cpu = m.cpu(0);
+        let l = lock.clone();
+        m.spawn(0, async move {
+            let (q, pred) = l.enqueue(&cpu).await;
+            assert_eq!(pred, NIL, "the first node holds the queue");
+            cpu.work(5_000).await; // all three waiters queue meanwhile
+            l.invalidate_from(&cpu, q).await;
+        });
+        for p in 1..4 {
+            let cpu = m.cpu(p);
+            let l = lock.clone();
+            let statuses = statuses.clone();
+            m.spawn(p, async move {
+                cpu.work(500 * p as u64).await;
+                let (q, pred) = l.enqueue(&cpu).await;
+                assert!(pred >= 2, "waiter {p} must queue behind a node");
+                l.link(&cpu, q, pred).await;
+                let st = l.wait_status(&cpu, q).await;
+                statuses.borrow_mut().push(st);
+            });
+        }
+        m.run();
+        assert_eq!(m.live_tasks(), 0);
+        assert_eq!(*statuses.borrow(), vec![INVALID_STATUS; 3]);
+        assert_eq!(m.read_word(lock.tail()), INVALID_PTR);
+    }
+
+    #[test]
+    fn acquire_invalid_installs_head_and_holder() {
+        let m = Machine::new(Config::default().nodes(2));
+        let lock = McsLock::new(&m, 0);
+        m.write_word(lock.tail(), INVALID_PTR);
+        let held = Rc::new(Cell::new(None));
+        let cpu = m.cpu(1);
+        let (l, h) = (lock.clone(), held.clone());
+        m.spawn(1, async move {
+            let q = l.take_qnode(&cpu);
+            l.acquire_invalid(&cpu, q).await;
+            h.set(Some((q, cpu.read(l.tail()).await)));
+            // Now a valid, held queue: a plain release empties it.
+            l.release_qnode(&cpu, q).await;
+        });
+        m.run();
+        assert_eq!(m.live_tasks(), 0);
+        let (q, tail) = held.get().expect("acquire_invalid returned");
+        assert_eq!(tail, enc(q), "the node is head and holder");
+        assert_eq!(m.read_word(lock.tail()), NIL);
+    }
+
+    #[test]
+    fn acquire_while_gives_up_on_a_pinned_flag() {
+        let m = Machine::new(Config::default().nodes(2));
+        let tts = TtsLock::new(&m, 0, 2);
+        let mode = m.alloc_on(0, 1);
+        // Pinned BUSY, as a reactive object leaves an invalid TTS flag:
+        // the passive `acquire` would never return here.
+        m.write_word(tts.flag(), BUSY);
+        m.write_word(mode, 0);
+        let got = Rc::new(Cell::new(Some(u64::MAX)));
+        let cpu = m.cpu(0);
+        let (t, g) = (tts.clone(), got.clone());
+        m.spawn(0, async move {
+            g.set(t.acquire_while(&cpu, mode, 0).await);
+        });
+        let cpu = m.cpu(1);
+        m.spawn(1, async move {
+            cpu.work(2_000).await;
+            cpu.write(mode, 1).await;
+        });
+        m.run();
+        assert_eq!(m.live_tasks(), 0, "acquire_while must notice the hint");
+        assert_eq!(got.get(), None);
+        assert_eq!(m.read_word(tts.flag()), BUSY);
+    }
+
+    #[test]
+    fn acquire_while_counts_failures_under_contention() {
+        let m = Machine::new(Config::default().nodes(8));
+        let tts = TtsLock::new(&m, 0, 8);
+        let mode = m.alloc_on(0, 1);
+        let shared = m.alloc_on(1, 1);
+        let results = Rc::new(RefCell::new(Vec::new()));
+        for p in 0..8 {
+            let cpu = m.cpu(p);
+            let (t, results) = (tts.clone(), results.clone());
+            m.spawn(p, async move {
+                for _ in 0..10 {
+                    let r = t.acquire_while(&cpu, mode, 0).await;
+                    let v = cpu.read(shared).await;
+                    cpu.work(10).await;
+                    cpu.write(shared, v + 1).await;
+                    t.release(&cpu, ()).await;
+                    results.borrow_mut().push(r);
+                }
+            });
+        }
+        m.run();
+        assert_eq!(m.live_tasks(), 0);
+        assert_eq!(m.read_word(shared), 80);
+        let results = results.borrow();
+        assert!(results.iter().all(Option::is_some), "the hint never moved");
+        let failures: u64 = results.iter().flatten().sum();
+        assert!(failures > 0, "8-way contention must fail some test&sets");
     }
 
     #[test]
