@@ -2018,9 +2018,12 @@ fn rmr_recoverable() -> Scenario {
         paper_says: "the crash-recoverable mutex costs O(log n) CC-model RMRs per passage \
                      even across crash/recovery schedules, and no passage is lost",
         claims: &[
-            // The sub-logarithmic regime: RMRs per passage grow no
-            // faster than c * log2(n) (c calibrated with headroom over
-            // the deterministic measurement).
+            // The Peterson tournament's Θ(log n): RMRs per passage grow
+            // no faster than c * log2(n) (c calibrated with headroom
+            // over the deterministic measurement). The sub-logarithmic
+            // O(log n / log log n) algorithm (Jayanti–Jayanti–Joshi,
+            // arXiv 1904.02124) and its matching lower bound
+            // (Chan–Woelfel, arXiv 2106.03185) are not implemented.
             Claim::BoundedRatio {
                 num: "rmr/cc_per_passage_per_log",
                 den: None,

@@ -59,11 +59,14 @@
 //! acquirer is en route — and retires the slab entry to a free list for
 //! the next inflation to reuse.
 //!
-//! Deadlines are honest but shallow here: a deadline bounds the flat
-//! spin (checked every `DEADLINE_CHECK_SPINS` iterations, so its
-//! precision is a few microseconds, not a few nanoseconds) and is
-//! re-checked at inflated-path *admission*; once a thread registers, it
-//! is committed (the sim's abortable queues model mid-wait abort).
+//! Deadlines are honest but shallow here: a deadline is a wait budget
+//! whose clock starts at the first failed attempt (a lost CAS or a held
+//! word), so an uncontended acquire reads no clock. The budget bounds
+//! the flat spin (checked every `DEADLINE_CHECK_SPINS` iterations, so
+//! its precision is a few microseconds, not a few nanoseconds) and is
+//! re-checked at inflated-path *admission*, where a zero budget aborts
+//! before registering; once a thread registers, it is committed (the
+//! sim's abortable queues model mid-wait abort).
 //! Inflations and deflations are gated by the same per-shard
 //! [`TokenBucket`] as simulated switches and logged as
 //! [`SwitchRecord`]s, so the no-stampede oracle applies to native runs
@@ -109,6 +112,31 @@ const BACKOFF_MAX: u32 = 256;
 /// this is orders of magnitude past any healthy multi-core wait for
 /// the microsecond-scale holds the service targets.
 const LONG_WAIT_SPINS: u32 = 8 * DEADLINE_CHECK_SPINS;
+
+/// A wait budget whose clock starts only when the acquire first has to
+/// wait, so an acquire that never waits reads no clock.
+struct Deadline {
+    budget: Option<Duration>,
+    /// When the budget runs out; `None` until [`Deadline::start`], and
+    /// after it for a budget no `Instant` can hold.
+    at: Option<Instant>,
+}
+
+impl Deadline {
+    /// Start the clock: called once, at the first failed attempt.
+    fn start(&mut self) {
+        self.at = self.budget.and_then(|b| Instant::now().checked_add(b));
+    }
+
+    /// Whether the budget is spent. Before the clock starts only a zero
+    /// budget is, and deciding that reads no clock.
+    fn passed(&self) -> bool {
+        match (self.at, self.budget) {
+            (Some(at), _) => Instant::now() >= at,
+            (None, budget) => budget.is_some_and(|b| b.is_zero()),
+        }
+    }
+}
 
 /// Per-shard native state: the switch limiter and the inflation/
 /// deflation log.
@@ -253,10 +281,19 @@ impl NativeService {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Acquire `object`, optionally bounded by a deadline. `None` means
-    /// the deadline expired before the acquisition was admitted.
+    /// Acquire `object`, optionally bounded by a deadline. The deadline
+    /// is a wait budget: its clock starts at the first failed attempt
+    /// (a lost CAS or a held word), so an acquire that never waits
+    /// reads no clock. `None` means the budget ran out before the
+    /// acquisition was admitted. The budget is checked on the flat
+    /// spin's cadence and at inflated-path admission, so a zero budget
+    /// is granted by a free flat word and refused by an inflated one;
+    /// a budget too large for an `Instant` never runs out.
     pub fn acquire(&self, object: u64, deadline: Option<Duration>) -> Option<NativeGuard<'_>> {
-        let limit = deadline.map(|d| Instant::now() + d);
+        let mut deadline = Deadline {
+            budget: deadline,
+            at: None,
+        };
         let mut spins: u32 = 0;
         let mut backoff: u32 = BACKOFF_INIT;
         // True once this call has lost a CAS or seen the word held: the
@@ -264,6 +301,7 @@ impl NativeService {
         // drained backlog keeps the streak alive even when the waiters
         // behind it are descheduled (the single-core case, where no
         // spinner is running during a short hold to register itself).
+        // The deadline's clock starts at the same moment.
         let mut fought = false;
         loop {
             // Acquire: pairs with the inflation publish store_release,
@@ -274,12 +312,10 @@ impl NativeService {
             if word & slot::INFLATED != 0 {
                 // Admission check: registering commits us, so the
                 // deadline is tested before the registration CAS.
-                if let Some(t) = limit {
-                    if Instant::now() >= t {
-                        // order: Relaxed — statistics counter.
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
+                if deadline.passed() {
+                    // order: Relaxed — statistics counter.
+                    self.aborts.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
                 debug_assert!(
                     slot::inflight(word) < u32::from(u16::MAX),
@@ -334,10 +370,16 @@ impl NativeService {
                         held: None,
                     });
                 }
-                fought = true;
+                if !fought {
+                    fought = true;
+                    deadline.start();
+                }
                 continue;
             }
-            fought = true;
+            if !fought {
+                fought = true;
+                deadline.start();
+            }
             // Held by someone else: register this hold's contention
             // evidence once, then spin. The releaser reads WAITERS as
             // "this grant was contended".
@@ -351,16 +393,14 @@ impl NativeService {
             backoff = (backoff * 2).min(BACKOFF_MAX);
             spins = spins.wrapping_add(1);
             if spins & (DEADLINE_CHECK_SPINS - 1) == 0 {
-                // Deadline checks and yields ride the same cadence:
-                // Instant::now() on every iteration would dominate the
-                // contended fast path (the satellite bug this fixes),
-                // and the yield keeps progress on oversubscribed hosts.
-                if let Some(t) = limit {
-                    if Instant::now() >= t {
-                        // order: Relaxed — statistics counter.
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
+                // Deadline checks and yields ride the same cadence: a
+                // clock read on every iteration would dominate the
+                // contended fast path, and the yield keeps progress on
+                // oversubscribed hosts.
+                if deadline.passed() {
+                    // order: Relaxed — statistics counter.
+                    self.aborts.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
                 std::thread::yield_now();
             }
@@ -766,6 +806,66 @@ mod tests {
         let r = svc.acquire(0, Some(Duration::from_micros(200)));
         assert!(r.is_none());
         assert_eq!(svc.aborts(), 1);
+    }
+
+    #[test]
+    fn zero_budget_on_a_free_flat_object_is_granted() {
+        let svc = NativeService::new(1, 1, None);
+        let g = svc.acquire(0, Some(Duration::ZERO));
+        assert!(g.is_some(), "a free word is won before any wait");
+        assert!(g.unwrap().held.is_none(), "granted on the flat path");
+        assert_eq!(svc.aborts(), 0);
+    }
+
+    #[test]
+    fn zero_budget_on_an_inflated_object_aborts_before_registering() {
+        let svc = NativeService::new(1, 1, None);
+        seed_hot(&svc, 0, 0);
+        let before = svc.arena.load(0);
+        assert_ne!(before & slot::INFLATED, 0);
+        assert!(svc.acquire(0, Some(Duration::ZERO)).is_none());
+        assert_eq!(svc.aborts(), 1);
+        let after = svc.arena.load(0);
+        assert_eq!(
+            slot::inflight(after),
+            slot::inflight(before),
+            "an aborted admission must not register"
+        );
+    }
+
+    #[test]
+    fn budget_on_a_held_object_runs_from_the_call() {
+        let svc = NativeService::new(1, 1, None);
+        let _g = svc.acquire(0, None).unwrap();
+        let budget = Duration::from_millis(2);
+        let start = Instant::now();
+        assert!(svc.acquire(0, Some(budget)).is_none());
+        let waited = start.elapsed();
+        assert!(
+            waited >= budget,
+            "aborted after {waited:?}, inside {budget:?}"
+        );
+        assert_eq!(svc.aborts(), 1);
+    }
+
+    #[test]
+    fn budget_that_outlasts_the_holder_is_granted() {
+        // `Duration::MAX` reaches past any `Instant`: it never runs out.
+        for budget in [Duration::from_secs(30), Duration::MAX] {
+            let svc = NativeService::new(1, 1, None);
+            let g = svc.acquire(0, None).unwrap();
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| svc.acquire(0, Some(budget)).is_some());
+                // Release only once the waiter has seen the word held
+                // (its WAITERS registration), so its clock is running.
+                while svc.arena.load_acquire(0) & slot::WAITERS == 0 && !waiter.is_finished() {
+                    std::thread::yield_now();
+                }
+                drop(g);
+                assert!(waiter.join().unwrap(), "{budget:?} outlasts the hold");
+            });
+            assert_eq!(svc.aborts(), 0);
+        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn inflate_deflate_reinflate_roundtrip() {
 /// Regression for the per-iteration `Instant::now()` spin bug: setting
 /// a (generous) deadline on every acquire must not collapse contended
 /// flat-path throughput. The deadline checks now ride a spin cadence,
-/// so the clock syscall leaves the hot loop.
+/// so the clock read (a vDSO call) leaves the hot loop.
 #[test]
 fn deadlines_do_not_degrade_contended_throughput() {
     const THREADS: usize = 4;
